@@ -10,7 +10,7 @@ import pytest
 from repro.coverage.exact import solve_exact
 from repro.coverage.greedy import greedy_cover, static_order_cover
 from repro.experiments import ablation_greedy
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.coverage.exact import solve_exact
 from repro.experiments import ablation_solver
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 from repro.workloads.generator import generate_instance
 from repro.workloads.settings import SETTING_I
 

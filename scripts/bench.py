@@ -334,6 +334,9 @@ def bench_price_pmf(smoke: bool, repeats: int, trace: MetricsRecorder) -> list[d
         ):
             raise AssertionError("price_pmf diverged with a recorder installed")
         trace.merge(recorder)
+        # Greedy steps executed vs reused from the previous nested group.
+        executed = int(recorder.counters.get("greedy.iterations", 0))
+        reused = int(recorder.counters.get("greedy.reused_steps", 0))
         results.append(
             {
                 "name": "price_pmf",
@@ -343,6 +346,8 @@ def bench_price_pmf(smoke: bool, repeats: int, trace: MetricsRecorder) -> list[d
                 "repeats": repeats,
                 "support_size": vec_pmf.support_size,
                 "mean_cover_size": float(np.mean(vec_pmf.cover_sizes)),
+                "greedy_iterations": executed,
+                "greedy_reused_steps": reused,
                 "vectorized_seconds": vec_s,
                 "reference_seconds": ref_s,
                 "speedup": ref_s / vec_s if vec_s > 0 else float("inf"),
@@ -353,7 +358,8 @@ def bench_price_pmf(smoke: bool, repeats: int, trace: MetricsRecorder) -> list[d
         print(
             f"  {'price_pmf':>20} N={n_workers:<5} K={n_tasks:<4} "
             f"|P|={vec_pmf.support_size:<4} vec={vec_s * 1e3:8.2f} ms "
-            f"ref={ref_s * 1e3:9.2f} ms speedup={ref_s / vec_s:6.1f}x"
+            f"ref={ref_s * 1e3:9.2f} ms speedup={ref_s / vec_s:6.1f}x "
+            f"steps={executed}+{reused} reused"
         )
     return results
 

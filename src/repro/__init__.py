@@ -36,14 +36,19 @@ _logging.getLogger("repro").addHandler(_logging.NullHandler())
 from repro.auction import AuctionInstance, AuctionOutcome, Bid, BidProfile, Mechanism, PricePMF
 from repro.bench import BatchAuctionRunner, BatchRunResult, SharedInstanceBatch
 from repro.coverage import LazyGreedyState, SparseCoverage, lazy_sparse_greedy_cover
-from repro.engine import SweepEngine, SweepPlan, current_engine, use_engine
+from repro.engine import (
+    SweepEngine,
+    SweepPlan,
+    current_engine,
+    feasible_price_set,
+    use_engine,
+)
 from repro.mechanisms import (
     BaselineAuction,
     DPHSRCAuction,
     OptimalSinglePriceMechanism,
     PermuteFlipHSRCAuction,
     ThresholdPaymentAuction,
-    feasible_price_set,
     optimal_total_payment,
     theorem6_payment_bound,
     truthfulness_gap,

@@ -96,7 +96,7 @@ def diagnose(instance: AuctionInstance, *, n_bottlenecks: int = 3) -> MarketDiag
     n_bottlenecks:
         How many of the worst-supplied tasks to list.
     """
-    from repro.mechanisms.price_set import feasible_price_set
+    from repro.engine.price_set import feasible_price_set
 
     quality = instance.effective_quality
     demands = instance.demands

@@ -49,7 +49,7 @@ class AuctionInstance:
     price_grid:
         Candidate prices (the finite cost set ``C`` restricted to the range
         the platform is willing to consider).  The *feasible* subset ``P``
-        is computed by :func:`repro.mechanisms.price_set.feasible_price_set`.
+        is computed by :func:`repro.engine.price_set.feasible_price_set`.
     c_min, c_max:
         Public lower/upper bounds on any worker's possible cost.  These are
         commitments of the market (not functions of the submitted bids), so

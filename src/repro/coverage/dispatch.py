@@ -112,9 +112,10 @@ def shared_cover_state(
     The sweep engine solves every price group of one instance as a
     budget-masked restriction of the full problem.  For the greedy
     kernels (dense, lazy, or auto-dispatched) this returns the matching
-    state so the initial truncation/scoring is computed once and
-    warm-starts every group; for foreign solvers it returns ``None`` and
-    the caller falls back to per-group sub-problems.
+    state, which warm-starts every group — the dense state from the
+    previous group's trajectory, the lazy one from its initial scoring;
+    for foreign solvers it returns ``None`` and the caller falls back to
+    per-group sub-problems.
     """
     if cover_solver is greedy_cover:
         return GreedyState(problem)

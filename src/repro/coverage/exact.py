@@ -33,6 +33,7 @@ from repro.coverage.greedy import greedy_cover
 from repro.coverage.lp import lp_lower_bound
 from repro.coverage.problem import CoverProblem
 from repro.exceptions import InfeasibleError, SolverError
+from repro.tolerances import meets_demand
 
 __all__ = ["ExactResult", "solve_exact"]
 
@@ -183,11 +184,10 @@ def _prune_redundant(problem: CoverProblem, selection: np.ndarray) -> np.ndarray
     """Drop items that are not needed for feasibility (reverse-greedy)."""
     selected = list(int(i) for i in selection)
     coverage = problem.coverage(selected)
-    slack = coverage - problem.demands
     for item in sorted(selected, key=lambda i: -float(problem.gains[i].sum())):
-        gain = problem.gains[item]
-        if np.all(slack - gain >= -1e-9):
-            slack = slack - gain
+        reduced = coverage - problem.gains[item]
+        if meets_demand(reduced, problem.demands):
+            coverage = reduced
             selected.remove(item)
     return np.array(sorted(selected), dtype=int)
 

@@ -19,18 +19,34 @@ speedup in ``BENCH_greedy.json``.
 Resumable API
 -------------
 The price-sweep engine (:mod:`repro.engine`) solves one covering problem
-per affordable-worker group, and the groups are *nested*: each group's
-candidates are a prefix-superset of the previous group's.  Rebuilding the
-truncated-gain matrix per group from the sliced sub-problem wastes both
-the slice and the initial ``min(gains, demands)`` truncation.
-:class:`GreedyState` precomputes that shared state once for the full
-problem; ``greedy_cover(problem, budget_mask=mask)`` (or
-``state.solve(mask)``) then restricts each run to the masked rows and
-returns selections in *original* item indices.  The masked run is
-bit-for-bit identical to slicing the problem to the masked rows first:
-row values are unchanged, unmasked rows score ``-inf``, and the
-lowest-index tie-break over masked rows coincides with the tie-break over
-the sorted slice.
+per affordable-worker group, and the groups are *nested*: prices rise,
+so each group's candidates are a superset of the previous group's.
+:class:`GreedyState` holds the full problem once;
+``greedy_cover(problem, budget_mask=mask)`` (or ``state.solve(mask)``)
+restricts a run to the masked rows and returns selections in *original*
+item indices.  The masked run is bit-for-bit identical to slicing the
+problem to the masked rows first: row values are unchanged, unmasked
+rows score ``-inf``, and the lowest-index tie-break over masked rows
+coincides with the tie-break over the sorted slice.
+
+The state also remembers its last successful run — the mask, the
+selection order, the residual ``r_t`` before each step ``t`` and that
+step's maximum score ``max_t`` — and a superset mask reuses a prefix of
+it.  The rule: find the first step ``t`` at which some newly eligible
+item's truncated gain ``Σ_j min(q_ij, r_t,j)`` reaches
+``max_t − _TOL``; steps ``0..t−1`` are reused as they stand and the
+ordinary loop runs from ``t``.  It is exact because before ``t`` every
+new item scores strictly below the old tie band, so the maximum, the
+band and its lowest index — hence the winner, and with it the next
+residual — are exactly those of the remembered run.  The loop restarts
+from ``truncated = min(gains, r_t)``, which equals the incrementally
+maintained matrix elementwise: a residual only ever changes in the
+columns a winner contributed to, and exactly those columns are
+recomputed.  The search widens the band by one more ``_TOL``, so float
+dust can only end the reuse early, never skip a newcomer.  A cold solve
+is the ``t = 0`` case.  Non-superset masks run cold, and a run that
+raises :class:`~repro.exceptions.InfeasibleError` leaves the remembered
+trajectory untouched.
 
 Tie-breaking rule
 -----------------
@@ -67,6 +83,10 @@ _TOL = DEMAND_TOL
 
 #: Row-block size for the static-order cover's chunked prefix scan.
 _BLOCK = 128
+
+#: Cell budget of one chunk of :meth:`GreedyState._reusable_steps`'s
+#: ``(steps, new items, K)`` truncated-gain evaluation.
+_FILTER_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,15 +126,29 @@ def _as_item_mask(budget_mask, n_items: int) -> np.ndarray:
     return out
 
 
-class GreedyState:
-    """Shared precomputation for many budget-restricted runs on one problem.
+@dataclass(frozen=True)
+class _Trajectory:
+    """A completed greedy run, remembered for prefix reuse.
 
-    Builds the snapped residual-demand vector and the initial truncated
-    gain matrix ``T = min(gains, demands)`` once; :meth:`solve` then runs
-    the adaptive greedy restricted to any subset of items without
-    recomputing either.  Used by :class:`repro.engine.SweepEngine` to
-    solve the nested affordable-worker groups of a price sweep in
-    ascending price order with one shared gain matrix.
+    ``residuals[t]`` is the residual demand before step ``t`` and
+    ``best_scores[t]`` that step's maximum score over the eligible items.
+    """
+
+    mask: np.ndarray
+    order: tuple[int, ...]
+    residuals: np.ndarray
+    best_scores: np.ndarray
+
+
+class GreedyState:
+    """Shared state for many budget-restricted runs on one problem.
+
+    Snaps the residual-demand vector once and remembers the last
+    successful run, so :meth:`solve` on a superset mask reuses the
+    remembered steps that the newly eligible items cannot change (see
+    *Resumable API* in the module docstring).  Used by
+    :class:`repro.engine.SweepEngine` to solve the nested
+    affordable-worker groups of a price sweep in ascending price order.
     """
 
     def __init__(self, problem: CoverProblem) -> None:
@@ -123,10 +157,35 @@ class GreedyState:
         residual[residual <= _TOL] = 0.0
         self._residual0 = residual
         self._trivial = not np.any(residual > 0.0)
-        # T[i, j] = min(Q_j, q_ij); columns of satisfied demands are zero.
-        self._truncated0 = (
-            None if self._trivial else np.minimum(problem.gains, residual[np.newaxis, :])
-        )
+        self._last: _Trajectory | None = None
+
+    def _reusable_steps(self, mask: np.ndarray) -> int:
+        """How many leading steps of the remembered run ``mask`` reuses.
+
+        The first step at which a newly eligible item's truncated gain
+        reaches the remembered tie band ends the reusable prefix.  The
+        band is widened by one more ``_TOL`` so summation-order dust in
+        the batched row sums below can only cause a false positive (a
+        shorter reuse), never a miss.
+        """
+        last = self._last
+        if last is None or np.any(last.mask & ~mask):
+            return 0
+        n_steps = len(last.order)
+        new_gains = self.problem.gains[mask & ~last.mask]
+        if new_gains.shape[0] == 0:
+            return n_steps
+        chunk = max(1, _FILTER_CELLS // new_gains.size)
+        for lo in range(0, n_steps, chunk):
+            residuals = last.residuals[lo : lo + chunk]
+            scores = np.minimum(
+                new_gains[np.newaxis, :, :], residuals[:, np.newaxis, :]
+            ).sum(axis=2)
+            band = last.best_scores[lo : lo + chunk, np.newaxis] - 2 * _TOL
+            enters = np.any(scores >= band, axis=1)
+            if enters.any():
+                return lo + int(np.argmax(enters))
+        return n_steps
 
     def solve(self, budget_mask=None) -> GreedyResult:
         """Adaptive greedy over the masked items (original indices).
@@ -158,28 +217,45 @@ class GreedyState:
             )
 
         if budget_mask is None:
-            available = np.ones(n_items, dtype=bool)
-            n_eligible = n_items
+            mask = np.ones(n_items, dtype=bool)
         else:
-            available = _as_item_mask(budget_mask, n_items).copy()
-            n_eligible = int(np.count_nonzero(available))
+            mask = _as_item_mask(budget_mask, n_items).copy()
+        n_eligible = int(np.count_nonzero(mask))
         if n_eligible == 0:
             raise infeasible()
 
-        truncated = self._truncated0.copy()
+        start = self._reusable_steps(mask)
         order: list[int] = []
+        residuals: list[np.ndarray] = []
+        best_scores: list[float] = []
+        finished = False
+        if start:
+            last = self._last
+            order = list(last.order[:start])
+            residuals = list(last.residuals[:start])
+            best_scores = list(last.best_scores[:start])
+            finished = start == len(last.order)
+            if not finished:
+                residual = last.residuals[start].copy()
+        recorder.count("greedy.reused_steps", start)
+        available = mask.copy()
+        available[order] = False
+        # T[i, j] = min(Q'_j, q_ij); columns of satisfied demands are zero.
+        truncated = None if finished else np.minimum(gains, residual[np.newaxis, :])
         candidates_scanned = 0
-        while True:
+        while not finished:
             scores = truncated.sum(axis=1)
             scores[~available] = -np.inf
             best_score = scores.max()
             if best_score <= _TOL:
-                recorder.count("greedy.iterations", len(order))
+                recorder.count("greedy.iterations", len(order) - start)
                 recorder.count("greedy.candidates_scanned", candidates_scanned)
                 raise infeasible()
             best = int(np.argmax(scores >= best_score - _TOL))
             # Every still-eligible item's score was recomputed this step.
             candidates_scanned += n_eligible - len(order)
+            residuals.append(residual.copy())
+            best_scores.append(best_score)
             order.append(best)
             available[best] = False
 
@@ -195,8 +271,14 @@ class GreedyState:
             changed = step > 0.0
             truncated[:, changed] = np.minimum(gains[:, changed], residual[changed])
 
-        recorder.count("greedy.iterations", len(order))
+        recorder.count("greedy.iterations", len(order) - start)
         recorder.count("greedy.candidates_scanned", candidates_scanned)
+        self._last = _Trajectory(
+            mask=mask,
+            order=tuple(order),
+            residuals=np.array(residuals),
+            best_scores=np.array(best_scores),
+        )
         return GreedyResult(
             selection=np.array(sorted(order), dtype=int), order=tuple(order)
         )
@@ -222,9 +304,9 @@ def greedy_cover(
         in original item indices and is bit-for-bit identical to running
         on the sub-problem sliced to the (sorted) masked rows.
     state:
-        Optional precomputed :class:`GreedyState` for ``problem``; pass
-        one when solving many masks of the same problem to reuse the
-        initial truncation.
+        Optional :class:`GreedyState` for ``problem``; pass one when
+        solving a growing sequence of masks of the same problem to
+        resume each run from the previous run's greedy trajectory.
 
     Raises
     ------

@@ -39,9 +39,11 @@ algorithmic equivalence:
   winner's support (``x − 0.0 == x`` for the untouched entries) and
   snapped with the same ``residual[residual <= _TOL] = 0.0``.
 
-:class:`LazyGreedyState` mirrors :class:`~repro.coverage.greedy.GreedyState`:
-the initial gain evaluation (against the snapped full demands) is done
-once, blockwise, at construction, and every budget-masked
+:class:`LazyGreedyState` is the CELF counterpart of
+:class:`~repro.coverage.greedy.GreedyState`, but it does not resume the
+previous mask's trajectory (that would need bookkeeping for the cached
+upper bounds).  Its initial gain evaluation (against the snapped full
+demands) is done once, blockwise, at construction, and every budget-masked
 :meth:`~LazyGreedyState.solve` starts from those cached scores.  For the
 price-sweep engine this is the warm start across adjacent affordable
 groups: initial gains do not depend on the mask, so the ``O(nnz)``

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.tolerances import DEMAND_TOL, meets_demand
 from repro.utils import validation
 
 __all__ = ["CoverProblem"]
@@ -88,11 +89,11 @@ class CoverProblem:
         """
         return np.clip(self.demands - self.coverage(selection), 0.0, None)
 
-    def is_feasible(self, selection: Iterable[int], *, tol: float = 1e-9) -> bool:
+    def is_feasible(self, selection: Iterable[int], *, tol: float = DEMAND_TOL) -> bool:
         """Whether the selection satisfies every demand (to tolerance)."""
-        return bool(np.all(self.residual(selection) <= tol))
+        return meets_demand(self.coverage(selection), self.demands, tol=tol)
 
-    def is_coverable(self, *, tol: float = 1e-9) -> bool:
+    def is_coverable(self, *, tol: float = DEMAND_TOL) -> bool:
         """Whether selecting *all* items would satisfy every demand.
 
         This is the feasibility test used to build the feasible price set

@@ -82,12 +82,11 @@ def randomized_rounding_cover(
     include_prob = np.minimum(1.0, inflation * lp.solution)
     chosen = np.flatnonzero(rng.random(problem.n_items) < include_prob)
 
-    residual = problem.residual(chosen)
     n_repaired = 0
-    if np.any(residual > 1e-9):
+    if not problem.is_feasible(chosen):
         # Repair: greedy on the residual problem over the unchosen items.
         unchosen = np.setdiff1d(np.arange(problem.n_items), chosen)
-        sub = CoverProblem(gains=problem.gains[unchosen], demands=residual)
+        sub = CoverProblem(gains=problem.gains[unchosen], demands=problem.residual(chosen))
         repair_local = greedy_cover(sub).selection
         repair = unchosen[repair_local]
         n_repaired = int(repair.size)

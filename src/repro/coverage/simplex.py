@@ -33,6 +33,9 @@ from repro.exceptions import InfeasibleError, SolverError
 
 __all__ = ["SimplexSolution", "covering_lp_simplex"]
 
+#: Pivot and ratio-test tolerance.  LP numerical stability is a different
+#: concern from demand satisfaction, so this stays local rather than
+#: aliasing :data:`repro.tolerances.DEMAND_TOL` (the values merely coincide).
 _TOL = 1e-9
 
 

@@ -7,8 +7,7 @@ one cover-solver run per group.  This package factors that pipeline out
 of the mechanisms into one shared, cached, observable layer:
 
 * :mod:`repro.engine.price_set` — the pipeline's first two stages
-  (moved here from ``repro.mechanisms.price_set``, which still
-  re-exports them);
+  (the feasible price set and the affordable-worker grouping);
 * :mod:`repro.engine.plan` — :class:`SweepPlan`, the packaged result of
   one full sweep for one ``(instance, cover_solver)`` pair, built via
   :func:`build_plan` over a shared

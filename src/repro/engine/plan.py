@@ -115,9 +115,11 @@ def build_plan(
     auto-dispatching default), the groups are solved as budget-masked
     restrictions of the full-instance problem through one shared state
     (:func:`~repro.coverage.dispatch.shared_cover_state`) — no per-group
-    gain-matrix slice, and the initial truncated-gain evaluation
-    warm-starts every group since it is independent of the budget mask.
-    Bit-for-bit identical selections either way.  Any other solver
+    gain-matrix slice.  The groups are solved in ascending price order,
+    so each mask is a superset of the last: the dense state resumes from
+    the previous group's greedy trajectory, and the CELF state reuses its
+    mask-independent initial scoring.  Bit-for-bit identical selections
+    either way.  Any other solver
     receives each group's standalone sub-problem.
 
     Raises

@@ -13,9 +13,8 @@ bids see the same affordable worker set and hence the same winner set, so
 a mechanism only needs one covering computation per *group* — making its
 complexity independent of ``|P|`` (Theorem 5's remark).
 
-This module lives in :mod:`repro.engine` (the shared sweep layer below
-the mechanisms); :mod:`repro.mechanisms.price_set` re-exports it for
-backwards compatibility.
+This module lives in :mod:`repro.engine`, the shared sweep layer below
+the mechanisms.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.coverage.problem import CoverProblem
 from repro.exceptions import EmptyPriceSetError
-from repro.tolerances import DEMAND_TOL, inflate_prices
+from repro.tolerances import inflate_prices, meets_demand
 
 __all__ = ["feasible_price_set", "PriceGroup", "group_prices_by_candidates"]
 
@@ -37,7 +36,7 @@ def _coverable_with(instance: AuctionInstance, price: float) -> bool:
     """Whether workers asking ≤ ``price`` can satisfy all demands."""
     affordable = instance.affordable_mask(price)
     coverage = instance.effective_quality[affordable].sum(axis=0)
-    return bool(np.all(coverage >= instance.demands - DEMAND_TOL))
+    return meets_demand(coverage, instance.demands)
 
 
 def feasible_price_set(instance: AuctionInstance) -> np.ndarray:

@@ -20,7 +20,7 @@ from repro.coverage.exact import solve_exact
 from repro.coverage.greedy import greedy_cover, static_order_cover
 from repro.coverage.lp import lp_lower_bound
 from repro.experiments.runner import ExperimentResult
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 from repro.utils.rng import ensure_rng
 from repro.workloads.generator import generate_instance
 from repro.workloads.settings import SETTING_I

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.coverage.exact import solve_exact
 from repro.experiments.runner import ExperimentResult
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 from repro.workloads.generator import generate_instance

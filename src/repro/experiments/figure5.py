@@ -36,7 +36,7 @@ from repro.privacy.leakage import pmf_kl_divergence
 from repro.utils.rng import ensure_rng
 from repro.auction.bids import Bid
 from repro.exceptions import EmptyPriceSetError
-from repro.mechanisms.price_set import feasible_price_set
+from repro.engine.price_set import feasible_price_set
 from repro.workloads.generator import generate_instance, matched_neighbor
 from repro.workloads.settings import SETTING_I, SETTING_III
 

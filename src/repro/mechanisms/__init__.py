@@ -11,9 +11,6 @@
 * :class:`~repro.mechanisms.optimal.OptimalSinglePriceMechanism` — the
   non-private benchmark ``R_OPT = min_p p·|S_OPT(p)|`` (Equation 6)
   computed with a certified exact solver (GUROBI substitute).
-* :mod:`~repro.mechanisms.price_set` — construction of the feasible price
-  set ``P`` and the grouping of prices by affordable-worker set that makes
-  all three mechanisms run in time independent of ``|P|``.
 * :mod:`~repro.mechanisms.properties` — closed-form theoretical bounds
   (γ = ε·Δc, the Theorem 6 payment bound, Lemma 2's factor).
 """
@@ -22,7 +19,6 @@ from repro.mechanisms.dp_hsrc import DPHSRCAuction, reweight_pmf
 from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_variants import PermuteFlipHSRCAuction
 from repro.mechanisms.optimal import OptimalSinglePriceMechanism, optimal_total_payment
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
 from repro.mechanisms.properties import (
     payment_sensitivity,
     theorem6_payment_bound,
@@ -45,8 +41,6 @@ __all__ = [
     "OptimalSinglePriceMechanism",
     "optimal_total_payment",
     "reweight_pmf",
-    "feasible_price_set",
-    "group_prices_by_candidates",
     "truthfulness_gap",
     "payment_sensitivity",
     "theorem6_payment_bound",

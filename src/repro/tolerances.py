@@ -17,6 +17,8 @@ Two distinct numeric concerns live here:
   Algorithm 1 against accumulation dust.  The greedy kernels also use it
   as the tie-breaking band: per-step gains within ``DEMAND_TOL`` of the
   maximum are considered tied (lowest index wins).
+  :func:`meets_demand` is the one coverage-versus-demand predicate built
+  on it.
 * :data:`PRICE_DUST_REL` — a **relative** inflation applied to a grid
   price before comparing it against asking prices.  A grid price that
   equals an asking price exactly must include that worker among the
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEMAND_TOL", "PRICE_DUST_REL", "inflate_prices"]
+__all__ = ["DEMAND_TOL", "PRICE_DUST_REL", "inflate_prices", "meets_demand"]
 
 #: Absolute slack for demand/coverage comparisons and the greedy kernels'
 #: residual snapping + tie-breaking band.
@@ -57,3 +59,14 @@ def inflate_prices(prices: np.ndarray) -> np.ndarray:
     bitwise-equal asking price lands strictly below the comparison point.
     """
     return np.asarray(prices) * (1 + PRICE_DUST_REL)
+
+
+def meets_demand(coverage, demands, *, tol: float = DEMAND_TOL) -> bool:
+    """Whether ``coverage`` satisfies every demand up to the slack ``tol``.
+
+    ``coverage`` may be a ``(K,)`` vector or any array broadcasting
+    against ``demands``; the answer is one ``bool`` over all entries.
+    ``tol`` defaults to :data:`DEMAND_TOL`; only callers checking a
+    foreign solver's output (e.g. a MILP backend) pass a looser slack.
+    """
+    return bool(np.all(np.asarray(coverage) >= np.asarray(demands) - tol))

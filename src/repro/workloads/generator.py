@@ -162,7 +162,7 @@ def matched_neighbor(
     InfeasibleError
         If no support-matched neighbor is found in ``max_tries`` draws.
     """
-    from repro.mechanisms.price_set import feasible_price_set
+    from repro.engine.price_set import feasible_price_set
 
     rng = ensure_rng(seed)
     reference = feasible_price_set(instance)

@@ -79,7 +79,7 @@ class TestDiagnoseToyMarkets:
         assert "feasible grid fraction" in text
 
     def test_cheapest_feasible_matches_price_set(self, tiny_setting):
-        from repro.mechanisms.price_set import feasible_price_set
+        from repro.engine.price_set import feasible_price_set
 
         instance, _ = generate_instance(tiny_setting, seed=2)
         report = diagnose(instance)

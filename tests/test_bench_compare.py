@@ -219,3 +219,17 @@ class TestCommittedBaselines:
         report = bench.compare_bench_docs(doc, doc, 25.0)
         assert report["n_timings_compared"] > 0
         assert report["regressions"] == []
+
+    def test_auction_baseline_covers_campaign_and_greedy_reuse(self):
+        path = _BENCH_PATH.parents[1] / "BENCH_auction.json"
+        if not path.exists():
+            pytest.skip("BENCH_auction.json not committed")
+        results = bench.load_bench_doc(path)["results"]
+        names = {entry["name"] for entry in results}
+        # The campaign-smoke CI gate compares against this entry.
+        assert "campaign_throughput" in names
+        price_pmf = [entry for entry in results if entry["name"] == "price_pmf"]
+        assert price_pmf
+        for entry in price_pmf:
+            assert entry["greedy_reused_steps"] > 0
+            assert entry["metrics"]["counters"]["greedy.reused_steps"] == entry["greedy_reused_steps"]

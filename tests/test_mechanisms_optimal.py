@@ -8,7 +8,7 @@ from repro.mechanisms.optimal import (
     OptimalSinglePriceMechanism,
     optimal_total_payment,
 )
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 from repro.coverage.exact import solve_exact
 from repro.workloads.generator import generate_instance
 

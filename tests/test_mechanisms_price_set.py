@@ -1,4 +1,4 @@
-"""Unit tests for repro.mechanisms.price_set."""
+"""Unit tests for repro.engine.price_set."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.auction.bids import Bid, BidProfile
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import EmptyPriceSetError
-from repro.mechanisms.price_set import feasible_price_set, group_prices_by_candidates
+from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
 
 
 class TestFeasiblePriceSet:

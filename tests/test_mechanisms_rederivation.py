@@ -13,7 +13,7 @@ import pytest
 from repro.coverage.greedy import greedy_cover
 from repro.coverage.problem import CoverProblem
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
-from repro.mechanisms.price_set import feasible_price_set
+from repro.engine.price_set import feasible_price_set
 from repro.workloads.generator import generate_instance
 
 

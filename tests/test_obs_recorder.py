@@ -1,6 +1,8 @@
 """Unit tests for repro.obs recorders, trace export, and the report."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,9 @@ from repro.obs import (
     validate_trace_file,
     validate_trace_lines,
 )
+from repro.obs.recorder import SPAN_KINDS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestNullRecorder:
@@ -360,3 +365,34 @@ class TestReport:
         report = rec.report()
         assert "Counters" in report
         assert "Span time by kind" not in report
+
+
+def literal_span_kinds(tree: ast.AST):
+    """``(line, kind)`` of every ``<x>.span("<kind>", ...)`` call."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "span"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.lineno, node.args[0].value
+
+
+class TestSpanKindRegistry:
+    def test_every_literal_span_kind_under_src_is_registered(self):
+        unregistered = []
+        seen = set()
+        for path in sorted(SRC.rglob("*.py")):
+            for line, kind in literal_span_kinds(ast.parse(path.read_text())):
+                seen.add(kind)
+                if kind not in SPAN_KINDS:
+                    unregistered.append(f"{path.relative_to(SRC)}:{line}: {kind!r}")
+        assert not unregistered, "span kinds missing from SPAN_KINDS: " + ", ".join(unregistered)
+        # The scan itself must see the pipeline's spans, or it checks nothing.
+        assert {"price_set", "greedy_group", "campaign_cell"} <= seen
+
+    def test_registry_has_no_duplicates(self):
+        assert len(set(SPAN_KINDS)) == len(SPAN_KINDS)

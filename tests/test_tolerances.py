@@ -2,17 +2,26 @@
 
 Pins the constants' values, the single-source-of-truth aliasing across
 the kernels that historically carried their own literals, the
-grid-price-equals-asking-price inclusion rule the ``PRICE_DUST_REL``
-guard exists for, and the degenerate all-workers-affordable short
-circuit in ``group_prices_by_candidates``.
+``meets_demand`` predicate and a lint that keeps raw demand literals out
+of the cover and engine layers, the grid-price-equals-asking-price
+inclusion rule the ``PRICE_DUST_REL`` guard exists for, and the
+degenerate all-workers-affordable short circuit in
+``group_prices_by_candidates``.
 """
 
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from repro.auction.bids import Bid, BidProfile
 from repro.auction.instance import AuctionInstance
 from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
-from repro.tolerances import DEMAND_TOL, PRICE_DUST_REL, inflate_prices
+from repro.tolerances import DEMAND_TOL, PRICE_DUST_REL, inflate_prices, meets_demand
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def make_instance(asking_prices, price_grid, n_tasks=3, demand=0.5):
@@ -41,13 +50,80 @@ class TestConstants:
 
         assert greedy._TOL is DEMAND_TOL
         assert threshold_auction._TOL is DEMAND_TOL
-        assert price_set.DEMAND_TOL is DEMAND_TOL
+        assert price_set.meets_demand is meets_demand
 
     def test_inflate_prices_is_a_tiny_relative_bump(self):
         prices = np.array([1.0, 10.0, 100.0])
         inflated = inflate_prices(prices)
         assert np.all(inflated > prices)
         assert np.allclose(inflated, prices, rtol=1e-11)
+
+
+class TestMeetsDemand:
+    def test_slack_is_demand_tol(self):
+        demands = np.array([1.0, 2.0])
+        assert meets_demand(demands, demands)
+        assert meets_demand(demands - 0.5 * DEMAND_TOL, demands)
+        assert not meets_demand(demands - np.array([0.0, 2 * DEMAND_TOL]), demands)
+
+    def test_explicit_tolerance(self):
+        assert meets_demand([0.9], [1.0], tol=0.1 + 1e-12)
+        assert not meets_demand([0.9], [1.0])
+
+    def test_problem_feasibility_goes_through_the_predicate(self):
+        from repro.coverage.problem import CoverProblem
+
+        problem = CoverProblem(gains=np.array([[1.0, 0.0], [0.0, 1.0]]), demands=np.ones(2))
+        assert problem.is_coverable()
+        assert not problem.is_feasible([0])
+        assert problem.is_feasible([0, 1])
+
+
+#: Modules of the cover and engine layers allowed a raw ``1e-9`` literal,
+#: with the reason.
+RAW_TOLERANCE_EXEMPT = {
+    # The simplex pivot tolerance guards LP numerical stability, not a
+    # coverage-versus-demand comparison; its value only coincides.
+    "coverage/simplex.py",
+}
+
+
+def is_demand_literal(number: str) -> bool:
+    try:
+        return float(number) == 1e-9
+    except ValueError:  # hex, octal, imaginary
+        return False
+
+
+def raw_demand_literals(path: Path) -> list[int]:
+    """Line numbers of ``1e-9`` number tokens (docstrings and comments excluded)."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return [
+        tok.start[0]
+        for tok in tokens
+        if tok.type == tokenize.NUMBER and is_demand_literal(tok.string)
+    ]
+
+
+class TestNoRawDemandLiterals:
+    @pytest.mark.parametrize("layer", ["coverage", "engine"])
+    def test_layer_routes_demand_slack_through_tolerances(self, layer):
+        offenders = {}
+        for path in sorted((SRC / layer).glob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel in RAW_TOLERANCE_EXEMPT:
+                continue
+            lines = raw_demand_literals(path)
+            if lines:
+                offenders[rel] = lines
+        assert not offenders, (
+            "raw 1e-9 literals; use repro.tolerances.meets_demand / DEMAND_TOL: "
+            f"{offenders}"
+        )
+
+    def test_exemption_is_still_needed(self):
+        for rel in RAW_TOLERANCE_EXEMPT:
+            assert raw_demand_literals(SRC / rel), f"{rel} no longer needs its exemption"
 
 
 class TestGridPriceEqualsAskingPrice:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.mechanisms.price_set import feasible_price_set
+from repro.engine.price_set import feasible_price_set
 from repro.workloads.generator import (
     generate_instance,
     generate_worker_population,
