@@ -8,7 +8,8 @@ repository accumulates a performance trajectory across PRs:
 * the greedy set-multicover kernels (vectorized vs the retained
   reference implementation), plus the ``10^5``-item scale suite (CELF
   lazy-sparse vs the dense kernel, with a hard refusal when a dense run
-  is requested beyond its cell budget) → ``BENCH_greedy.json``;
+  is requested beyond its cell budget) and the dense-vs-lazy break-even
+  sweep behind the auto-dispatch density cutoff → ``BENCH_greedy.json``;
 * ``DPHSRCAuction.price_pmf`` (full Algorithm 1 winner-set stage, both
   kernels, and the ``10^5``-worker auto-dispatch scenarios) and the
   :class:`~repro.bench.BatchAuctionRunner` serial / process backends
@@ -105,6 +106,18 @@ SMOKE_GREEDY_SHAPES = [(60, 8), (120, 10)]
 #: solver — density 0.008–0.04, covers in the hundreds.
 FULL_SCALE_SHAPES = [(20_000, 500), (100_000, 1000)]
 SMOKE_SCALE_SHAPES = [(5_000, 200)]
+
+#: Dense-vs-lazy break-even sweep behind ``AUTO_SPARSE_MAX_DENSITY``:
+#: single covers at the smallest item count auto-dispatch sends to the
+#: lazy kernel and at a mid-size one, across densities around the cutoff
+#: (stored entries per row = density x K).  Demands of 4 mean
+#: contributions per constraint keep the 512-item shape coverable.
+FULL_BREAK_EVEN_SHAPES = [(512, 200), (5_000, 200)]
+SMOKE_BREAK_EVEN_SHAPES = [(512, 200)]
+BREAK_EVEN_DENSITIES = (0.04, 0.05, 0.06, 0.08, 0.16)
+BREAK_EVEN_DEMAND_ROWS = 4.0
+#: Best-of repeats for the millisecond-scale break-even covers.
+BREAK_EVEN_REPEATS = 9
 
 #: Pinned auction-scale scenarios: (n_workers, n_tasks).  The narrow
 #: K=8 shape auto-dispatches to the dense kernel (density ~0.5); the
@@ -296,6 +309,68 @@ def bench_greedy_scale(
             f"  {'lazy_sparse':>20} N={n_items:<6} K={n_constraints:<4} "
             f"|S|={lazy.size:<4} lazy={lazy_s * 1e3:8.2f} ms {comparison}"
         )
+    return results
+
+
+def bench_dispatch_break_even(shapes, trace: MetricsRecorder) -> list[dict]:
+    """Dense vs lazy single covers across densities near the dispatch cutoff.
+
+    ``speedup`` above 1 means the lazy kernel wins; the selections are
+    asserted identical.  These entries are the measurements behind
+    ``repro.coverage.dispatch.AUTO_SPARSE_MAX_DENSITY``.
+    """
+    results = []
+    for n_items, n_constraints in shapes:
+        for density in BREAK_EVEN_DENSITIES:
+            row_nnz = round(density * n_constraints)
+            sparse = seeded_sparse_cover_problem(
+                n_items,
+                n_constraints,
+                seed=WORKLOAD_SEED,
+                row_nnz=row_nnz,
+                demand_rows=BREAK_EVEN_DEMAND_ROWS,
+            )
+            problem = sparse.to_problem()
+            dense_s, dense = best_of(lambda: greedy_cover(problem), BREAK_EVEN_REPEATS)
+            lazy_s, lazy = best_of(lambda: lazy_sparse_greedy_cover(problem), BREAK_EVEN_REPEATS)
+            if dense.order != lazy.order:
+                raise AssertionError(
+                    f"lazy/dense divergence at N={n_items}, K={n_constraints}, "
+                    f"{row_nnz} entries per row"
+                )
+            recorder = MetricsRecorder()
+            with use_recorder(recorder):
+                with recorder.span(
+                    "greedy_scale",
+                    "bench.dispatch_break_even",
+                    n_items=n_items,
+                    n_constraints=n_constraints,
+                ):
+                    lazy_sparse_greedy_cover(problem)
+            trace.merge(recorder)
+            speedup = dense_s / lazy_s if lazy_s > 0 else float("inf")
+            results.append(
+                {
+                    "name": "dispatch_break_even",
+                    "n_items": n_items,
+                    "n_constraints": n_constraints,
+                    "row_nnz": row_nnz,
+                    "density": sparse.density,
+                    "seed": WORKLOAD_SEED,
+                    "repeats": BREAK_EVEN_REPEATS,
+                    "cover_size": lazy.size,
+                    "dense_seconds": dense_s,
+                    "lazy_sparse_seconds": lazy_s,
+                    "speedup": speedup,
+                    "match": True,
+                    "metrics": recorder_metrics(recorder),
+                }
+            )
+            print(
+                f"  {'dispatch_break_even':>20} N={n_items:<6} K={n_constraints:<4} "
+                f"density={sparse.density:.3f} dense={dense_s * 1e3:8.2f} ms "
+                f"lazy={lazy_s * 1e3:8.2f} ms speedup={speedup:5.2f}x"
+            )
     return results
 
 
@@ -907,6 +982,7 @@ SHAPE_FIELDS = (
     "seed",
     "dispatch",
     "alt_kernel",
+    "row_nnz",
 )
 
 
@@ -1176,6 +1252,10 @@ def main(argv: list[str] | None = None) -> int:
         scale_solver=args.scale_solver,
         repeats=args.repeats,
         trace=trace,
+    )
+    print("dispatch break-even:")
+    greedy_results += bench_dispatch_break_even(
+        SMOKE_BREAK_EVEN_SHAPES if args.smoke else FULL_BREAK_EVEN_SHAPES, trace=trace
     )
     greedy_doc = {
         "schema": SCHEMA,

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import EmptyPriceSetError
+from repro.tolerances import meets_demand
 
 __all__ = ["MarketDiagnostics", "diagnose"]
 
@@ -112,7 +113,7 @@ def diagnose(instance: AuctionInstance, *, n_bottlenecks: int = 3) -> MarketDiag
         int(j) for j in np.flatnonzero((bidders <= 1) & (demands > 0))
     )
 
-    coverable = bool(np.all(supply >= demands - 1e-9))
+    coverable = meets_demand(supply, demands)
     try:
         feasible = feasible_price_set(instance)
         fraction = feasible.size / instance.price_grid.size

@@ -36,14 +36,18 @@ __all__ = [
     "use_lazy_kernel",
 ]
 
-#: The lazy kernel is used only for large sparse instances.  Measured on
-#: the pinned scale workloads: at density 0.16 the dense kernel's
-#: contiguous column sweeps beat CELF even at ``N = 10^5`` (K = 50), and
-#: at the auction's narrow K = 8 shapes (density ~0.5) dense wins by
-#: ~20x at any N; CELF takes over in the many-subarea regime — density
-#: 0.016 gives ~9x at (20k, 500) and density 0.008 gives ~30x at
-#: (100k, 1000).  The 0.05 cutoff sits just above the measured
-#: break-even (density 0.04 at (5k, 200) is ~1x either way).
+#: The lazy kernel is used only for large sparse instances.  Measured
+#: single covers (``BENCH_greedy.json``: ``dispatch_break_even`` and the
+#: scale entries; dense time over lazy time): at (5k items, 200
+#: constraints) lazy wins 4.3x at density 0.04, 3.1x at 0.05, 2.3x at
+#: 0.06 and 1.8x at 0.08, and loses at 0.16 (0.66x); at the 512-item
+#: floor the kernels tie from 0.04 to 0.06 (0.96–1.08x) and dense wins
+#: from 0.08 (0.77x at 0.08, 0.41x at 0.16); in the many-subarea regime
+#: lazy wins 64x at (20k, 500, density 0.016).  At the auction's narrow
+#: K = 8 shapes (density ~0.5) dense wins the 10^5-worker price sweep 2x
+#: (``BENCH_auction.json``, ``price_pmf_scale``).  The break-even density
+#: rises with N, but the cutoff must hold at the 512-item floor, where
+#: lazy stops winning above ~0.06; 0.05 stays.
 AUTO_SPARSE_MIN_ITEMS = 512
 AUTO_SPARSE_MAX_DENSITY = 0.05
 

@@ -22,6 +22,7 @@ from repro.auction.outcome import AuctionOutcome
 from repro.mcs.sensing import assignment_mask, collect_labels
 from repro.mcs.tasks import TaskSet
 from repro.mcs.workers import WorkerPool
+from repro.tolerances import DEMAND_TOL
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Platform", "SensingRound"]
@@ -126,7 +127,7 @@ class Platform:
         accuracy = float(np.mean(aggregated == tasks.true_labels))
 
         coverage = instance.effective_quality[outcome.winners].sum(axis=0)
-        demand_met = coverage >= instance.demands - 1e-9
+        demand_met = coverage >= instance.demands - DEMAND_TOL
         return SensingRound(
             outcome=outcome,
             labels=labels,

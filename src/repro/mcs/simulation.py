@@ -21,6 +21,7 @@ from repro.mcs.skill_estimation import estimate_skills_dawid_skene
 from repro.mcs.tasks import TaskSet
 from repro.mcs.workers import WorkerPool
 from repro.privacy.composition import PrivacyAccountant
+from repro.tolerances import meets_demand
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["RoundRecord", "MCSSimulation"]
@@ -209,7 +210,6 @@ class MCSSimulation:
         configurations as an error).
         """
         from repro.exceptions import InfeasibleError
-        import numpy as _np
 
         for _ in range(int(max_tries)):
             task_rng = rng.spawn(1)[0]
@@ -223,8 +223,7 @@ class MCSSimulation:
                 c_max=self.c_max,
                 skills_estimate=self._skill_record,
             )
-            coverage = instance.effective_quality.sum(axis=0)
-            if _np.all(coverage >= instance.demands - 1e-9):
+            if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
                 return tasks, instance
         raise InfeasibleError(
             f"no feasible task draw in {max_tries} tries; the worker "

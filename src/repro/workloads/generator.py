@@ -20,6 +20,7 @@ from repro.auction.bids import Bid
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import InfeasibleError
 from repro.mcs.workers import WorkerPool
+from repro.tolerances import meets_demand
 from repro.utils.rng import RngLike, ensure_rng
 from repro.workloads.settings import SimulationSetting
 
@@ -111,8 +112,7 @@ def generate_instance(
             c_min=setting.c_min,
             c_max=setting.c_max,
         )
-        coverage = instance.effective_quality.sum(axis=0)
-        if np.all(coverage >= instance.demands - 1e-9):
+        if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
             return instance, pool
     raise InfeasibleError(
         f"could not draw a feasible instance in {max_retries} attempts "

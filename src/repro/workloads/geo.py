@@ -33,6 +33,7 @@ from repro.auction.instance import AuctionInstance
 from repro.exceptions import InfeasibleError, ValidationError
 from repro.mcs.tasks import TaskSet
 from repro.mcs.workers import WorkerPool
+from repro.tolerances import meets_demand
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["GeoCityConfig", "GeoMarket", "generate_geo_market"]
@@ -224,8 +225,7 @@ def generate_geo_market(
             c_min=low,
             c_max=high,
         )
-        coverage = instance.effective_quality.sum(axis=0)
-        if np.all(coverage >= instance.demands - 1e-9):
+        if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
             return GeoMarket(
                 instance=instance,
                 pool=pool,

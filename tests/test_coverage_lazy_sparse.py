@@ -8,7 +8,11 @@ winners, same selection order, same cover size, and the same
 The hypothesis strategies deliberately hit the regimes where lazy
 kernels classically diverge — duplicate-gain ties, near-degenerate
 demands, arbitrary budget masks — and the degenerate shapes (empty
-coverage, a single item, everything affordable).
+coverage, a single item, everything affordable).  ``TestFreshnessRule``
+targets the rule that keeps a row's cached gain exact unless the last
+winner reduced one of its columns: duplicate rows, all-zero rows,
+winners that reduce only some of their columns, steps where every live
+row is stale, and multi-block scoring batches.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.coverage import lazy
 from repro.coverage.dispatch import (
     AUTO_SPARSE_MAX_DENSITY,
     AUTO_SPARSE_MIN_ITEMS,
@@ -29,6 +34,7 @@ from repro.coverage.lazy import LazyGreedyState, lazy_sparse_greedy_cover
 from repro.coverage.problem import CoverProblem
 from repro.coverage.sparse import SparseCoverage
 from repro.exceptions import InfeasibleError, ValidationError
+from repro.obs import MetricsRecorder, use_recorder
 
 
 def assert_same_result(problem, budget_mask=None):
@@ -45,6 +51,33 @@ def assert_same_result(problem, budget_mask=None):
     assert np.array_equal(lazy.selection, dense.selection)
     assert lazy.size == dense.size
     return dense
+
+
+def assert_state_matches_cold_dense(state, problem, mask):
+    """A shared lazy state's solve equals a fresh dense state's, verdicts included."""
+    try:
+        dense = GreedyState(problem).solve(mask)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as caught:
+            state.solve(mask)
+        assert str(caught.value) == str(exc)
+        return None
+    result = state.solve(mask)
+    assert result.order == dense.order
+    assert np.array_equal(result.selection, dense.selection)
+    return result
+
+
+def lazy_counters(problem, mask=None):
+    """The ``lazy_greedy.*`` counters of one lazy solve."""
+    recorder = MetricsRecorder()
+    with use_recorder(recorder):
+        assert_state_matches_cold_dense(LazyGreedyState(problem), problem, mask)
+    return {
+        name.split(".", 1)[1]: value
+        for name, value in recorder.counters.items()
+        if name.startswith("lazy_greedy.")
+    }
 
 
 def tie_problems(max_items=14, max_constraints=5):
@@ -85,6 +118,70 @@ def random_density_problems(max_items=30, max_constraints=8):
         return CoverProblem(gains=gains, demands=gains.sum(axis=0) * demand_scale)
 
     return build()
+
+
+def freshness_problems(max_rows=10, max_constraints=5):
+    """Instances built against the rule that keeps untouched rows exact.
+
+    Rows are drawn from a small base set with repetition (duplicate rows
+    tie exactly inside one scoring block), all-zero rows are spliced in,
+    columns get zero or tiny demands (winners that reduce only some of
+    their columns), and an optional hub column that every row covers
+    makes every live row stale after the first pick (the ``-inf`` floor).
+    """
+
+    @st.composite
+    def build(draw):
+        n_base = draw(st.integers(1, max_rows))
+        n_constraints = draw(st.integers(1, max_constraints))
+        base = draw(
+            arrays(
+                dtype=np.float64,
+                shape=(n_base, n_constraints),
+                elements=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+            )
+        )
+        picks = draw(
+            st.lists(st.integers(0, n_base - 1), min_size=n_base, max_size=2 * n_base)
+        )
+        gains = base[picks]
+        if draw(st.booleans()):
+            gains[:, 0] = draw(st.sampled_from([0.1, 0.25]))
+        zero_at = draw(st.lists(st.integers(0, gains.shape[0]), max_size=2))
+        gains = np.insert(gains, zero_at, 0.0, axis=0)
+        fractions = draw(
+            arrays(
+                dtype=np.float64,
+                shape=(n_constraints,),
+                elements=st.sampled_from([0.0, 0.05, 0.3, 0.6, 0.9]),
+            )
+        )
+        return CoverProblem(gains=gains, demands=gains.sum(axis=0) * fractions)
+
+    return build()
+
+
+def draw_mask_chain(data, problem):
+    """Masks for one shared state: the engine's ascending supersets first,
+    then repeated, arbitrary, empty and infeasible masks in drawn order."""
+    n_items = problem.n_items
+    price_of = data.draw(arrays(dtype=np.int64, shape=n_items, elements=st.integers(0, 3)))
+    masks = [price_of <= level for level in range(4)]
+    kinds = st.sampled_from(["repeat", "arbitrary", "empty", "infeasible"])
+    for kind in data.draw(st.lists(kinds, max_size=6)):
+        if kind == "repeat":
+            masks.append(masks[-1].copy())
+        elif kind == "arbitrary":
+            masks.append(data.draw(arrays(dtype=bool, shape=n_items)))
+        elif kind == "empty":
+            masks.append(np.zeros(n_items, dtype=bool))
+        else:
+            # No row covering some demanded column: cannot be feasible.
+            demanded = np.flatnonzero(problem.demands > 1e-6)
+            if demanded.size:
+                column = data.draw(st.sampled_from(demanded.tolist()))
+                masks.append(problem.gains[:, column] == 0.0)
+    return masks
 
 
 class TestBitForBitEquivalence:
@@ -190,6 +287,102 @@ class TestLazyGreedyState:
     def test_state_rejects_foreign_types(self):
         with pytest.raises(TypeError, match="CoverProblem or SparseCoverage"):
             LazyGreedyState(np.ones((2, 2)))
+
+
+class TestFreshnessRule:
+    @given(problem=freshness_problems(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mask_chain_through_one_state_matches_cold_dense(self, problem, data):
+        state = LazyGreedyState(problem)
+        for mask in draw_mask_chain(data, problem):
+            assert_state_matches_cold_dense(state, problem, mask)
+
+    @given(problem=freshness_problems(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_index_masks_match_boolean_masks(self, problem, data):
+        state = LazyGreedyState(problem)
+        for mask in draw_mask_chain(data, problem):
+            assert_state_matches_cold_dense(state, problem, np.flatnonzero(mask))
+
+    def test_duplicate_rows_tie_inside_one_block_lowest_index_wins(self):
+        # Three copies of each row: after the first pick every live row is
+        # re-scored in one block and the copies tie exactly.
+        base = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        problem = CoverProblem(gains=np.repeat(base, 3, axis=0), demands=np.full(3, 1.0))
+        counters = lazy_counters(problem)
+        assert lazy_sparse_greedy_cover(problem).order[:2] == (0, 1)
+        assert counters["evaluations"] >= 8
+
+    def test_all_zero_rows_are_never_picked(self):
+        gains = np.array([[0.0, 0.0], [0.4, 0.2], [0.0, 0.0], [0.3, 0.6]])
+        problem = CoverProblem(gains=gains, demands=np.array([0.5, 0.5]))
+        result = lazy_sparse_greedy_cover(problem)
+        assert not set(result.order) & {0, 2}
+        assert_same_result(problem)
+        assert_same_result(problem, budget_mask=np.array([True, False, True, False]))
+
+    def test_rows_sharing_only_an_unreduced_column_stay_exact(self):
+        # Row 0 wins first and reduces column 0 only: column 1 has no
+        # demand.  Row 1 shares just column 1 with it, so its initial
+        # score stays exact and step 2 re-scores nothing.  Row 1's pick
+        # reduces column 2, which leaves row 2 as the only live row, stale:
+        # a -inf floor that re-scores exactly that row.
+        gains = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 0.4], [0.0, 0.0, 0.3]])
+        problem = CoverProblem(gains=gains, demands=np.array([1.0, 0.0, 0.7]))
+        counters = lazy_counters(problem)
+        assert lazy_sparse_greedy_cover(problem).order == (0, 1, 2)
+        assert counters["iterations"] == 3
+        assert counters["evaluations"] == 1
+        assert counters["batches"] == 1
+
+    def test_every_live_row_stale_rescores_only_live_rows(self):
+        # Picked and masked-out rows must not be re-scored back into
+        # contention: with a -inf floor, gains [[0.1], [0.1]] and demand
+        # [0.15] would otherwise pick row 0 twice.
+        problem = CoverProblem(gains=np.array([[0.1], [0.1]]), demands=np.array([0.15]))
+        assert lazy_sparse_greedy_cover(problem).order == (0, 1)
+        # A hub column every row covers.  Row 3 wins step 1 and every live
+        # row turns stale: step 2 re-scores rows 0, 1 and 4 (row 2 is
+        # masked out), step 3 rows 1 and 4, each batch in one block.
+        gains = np.array([[0.3, 0.0], [0.3, 0.0], [0.3, 0.2], [0.3, 0.1], [0.3, 0.0]])
+        problem = CoverProblem(gains=gains, demands=np.array([0.9, 0.1]))
+        mask = np.array([True, True, False, True, True])
+        counters = lazy_counters(problem, mask)
+        assert lazy_sparse_greedy_cover(problem, budget_mask=mask).order == (3, 0, 1)
+        assert counters["evaluations"] == 5
+        assert counters["batches"] == 2
+
+    def test_stale_row_just_below_the_floor_joins_the_tie_band(self):
+        # Row 2 wins step 1 and stales row 0 without changing its gain
+        # (0.5).  Row 1 stays exact at 0.5 + 5e-10, the floor.  Row 0's
+        # bound is below the floor but within _TOL of it, so it must be
+        # re-scored: it ties row 1 and wins on the lower index.
+        gains = np.array([[0.1, 0.4, 0.0], [0.0, 0.0, 0.5 + 5e-10], [1.0, 0.0, 0.0]])
+        problem = CoverProblem(gains=gains, demands=np.array([1.1, 0.4, 0.5 + 5e-10]))
+        assert_same_result(problem)
+        assert lazy_sparse_greedy_cover(problem).order == (2, 0, 1)
+
+    def test_multi_block_scoring_matches_dense(self, monkeypatch):
+        def run_chains():
+            recorder = MetricsRecorder()
+            with use_recorder(recorder):
+                for seed in range(12):
+                    rng = np.random.default_rng(seed)
+                    gains = rng.choice([0.0, 0.0, 0.25, 0.5, 1.0], size=(24, 5))
+                    gains[::4] = gains[1::4]  # duplicate rows across block edges
+                    problem = CoverProblem(gains=gains, demands=gains.sum(axis=0) * 0.6)
+                    state = LazyGreedyState(problem)
+                    for level in (0.4, 0.7, 1.0, 0.7):
+                        mask = np.random.default_rng(seed + 100).random(24) < level
+                        assert_state_matches_cold_dense(state, problem, mask)
+            return recorder.counters
+
+        whole = run_chains()
+        monkeypatch.setattr(lazy, "_SCORE_BLOCK", 3)
+        split = run_chains()
+        # The block size changes how rows are batched, never which rows.
+        assert split["lazy_greedy.evaluations"] == whole["lazy_greedy.evaluations"]
+        assert split["lazy_greedy.batches"] > whole["lazy_greedy.batches"]
 
 
 class TestSparseCoverage:

@@ -3,10 +3,10 @@
 Pins the constants' values, the single-source-of-truth aliasing across
 the kernels that historically carried their own literals, the
 ``meets_demand`` predicate and a lint that keeps raw demand literals out
-of the cover and engine layers, the grid-price-equals-asking-price
-inclusion rule the ``PRICE_DUST_REL`` guard exists for, and the
-degenerate all-workers-affordable short circuit in
-``group_prices_by_candidates``.
+of the cover, engine, MCS and workload layers and the market
+diagnostics, the grid-price-equals-asking-price inclusion rule the
+``PRICE_DUST_REL`` guard exists for, and the degenerate
+all-workers-affordable short circuit in ``group_prices_by_candidates``.
 """
 
 import io
@@ -79,12 +79,18 @@ class TestMeetsDemand:
         assert problem.is_feasible([0, 1])
 
 
-#: Modules of the cover and engine layers allowed a raw ``1e-9`` literal,
-#: with the reason.
+#: Layers (packages, or single modules) whose demand slack must come from
+#: ``repro.tolerances`` rather than a raw ``1e-9`` literal.
+DEMAND_LITERAL_LAYERS = ["coverage", "engine", "mcs", "workloads", "analysis/diagnostics.py"]
+
+#: Modules of those layers allowed a raw ``1e-9`` literal, with the reason.
 RAW_TOLERANCE_EXEMPT = {
     # The simplex pivot tolerance guards LP numerical stability, not a
     # coverage-versus-demand comparison; its value only coincides.
     "coverage/simplex.py",
+    # The ε bisection's stopping width in invert_advanced_composition, not
+    # a demand slack; its value only coincides.
+    "mcs/budget_planner.py",
 }
 
 
@@ -106,10 +112,11 @@ def raw_demand_literals(path: Path) -> list[int]:
 
 
 class TestNoRawDemandLiterals:
-    @pytest.mark.parametrize("layer", ["coverage", "engine"])
+    @pytest.mark.parametrize("layer", DEMAND_LITERAL_LAYERS)
     def test_layer_routes_demand_slack_through_tolerances(self, layer):
+        root = SRC / layer
         offenders = {}
-        for path in sorted((SRC / layer).glob("*.py")):
+        for path in [root] if root.is_file() else sorted(root.glob("*.py")):
             rel = path.relative_to(SRC).as_posix()
             if rel in RAW_TOLERANCE_EXEMPT:
                 continue
