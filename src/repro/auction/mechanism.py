@@ -33,6 +33,14 @@ from repro.utils.rng import RngLike, ensure_rng
 __all__ = ["PricePMF", "Mechanism"]
 
 
+def _sorted_winner_ids(winners) -> np.ndarray:
+    """A winner set as a fresh sorted ``int`` array."""
+    ids = np.asarray(winners).ravel()
+    if ids.dtype.kind == "i":
+        return np.sort(ids).astype(int, copy=False)
+    return np.array(sorted(int(i) for i in ids), dtype=int)
+
+
 @dataclass(frozen=True)
 class PricePMF:
     """Exact outcome distribution of a single-price mechanism.
@@ -77,13 +85,16 @@ class PricePMF:
             raise ValidationError(f"probabilities must sum to 1, got {total}")
         if len(self.winner_sets) != prices.size:
             raise ValidationError("one winner set per support price is required")
-        sets = tuple(
-            np.array(sorted(int(i) for i in np.asarray(s).ravel()), dtype=int)
-            for s in self.winner_sets
-        )
+        # Prices of one affordable-worker group share one winner-set
+        # object: normalize each distinct object once and share the result.
+        normalized: dict[int, np.ndarray] = {}
+        for s in self.winner_sets:
+            if id(s) not in normalized:
+                normalized[id(s)] = _sorted_winner_ids(s)
+        sets = tuple(normalized[id(s)] for s in self.winner_sets)
         prices.setflags(write=False)
         probs.setflags(write=False)
-        for s in sets:
+        for s in normalized.values():
             s.setflags(write=False)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "probabilities", np.clip(probs, 0.0, None))

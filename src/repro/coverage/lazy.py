@@ -82,6 +82,8 @@ index are built once, at construction, and every budget-masked
 price-sweep engine this is the warm start across adjacent affordable
 groups: initial gains do not depend on the mask, so the ``O(nnz)``
 scoring pass is paid once per instance rather than once per price group.
+Its :meth:`~LazyGreedyState.solve_chain` is therefore a plain loop over
+:meth:`~LazyGreedyState.solve`.
 """
 
 from __future__ import annotations
@@ -263,6 +265,13 @@ class LazyGreedyState:
         return GreedyResult(
             selection=np.array(sorted(order), dtype=int), order=tuple(order)
         )
+
+    def solve_chain(self, masks) -> list[GreedyResult]:
+        """:meth:`solve` each mask in order (the dense state's chain API).
+
+        Raises the first mask's :class:`~repro.exceptions.InfeasibleError`.
+        """
+        return [self.solve(mask) for mask in masks]
 
 
 def lazy_sparse_greedy_cover(

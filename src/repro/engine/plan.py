@@ -8,7 +8,8 @@ Every single-price mechanism in the library runs the same pipeline on an
 2. :func:`~repro.engine.price_set.group_prices_by_candidates` — maximal
    price runs sharing one affordable-worker set;
 3. one cover-solver run per group — the winner set every price in the
-   group commits to.
+   group commits to (for the greedy kernels, one chained sweep over all
+   groups).
 
 None of this depends on the privacy budget ε (only the final price draw
 does), so the pipeline's output — a :class:`SweepPlan` — is a pure
@@ -102,25 +103,28 @@ def build_plan(
 ) -> SweepPlan:
     """Run the full price-sweep pipeline once and package the result.
 
-    Emits the same observability spans the mechanisms historically
-    emitted inline (``price_set`` around steps 1–2, one ``greedy_group``
-    span per cover run), named under ``label``.  A caller that already
-    holds the instance's ``(prices, groups)`` — the engine, whose
-    grouping cache is shared across solvers — passes it via ``grouping``
-    and skips steps 1–2 (and the ``price_set`` span).
+    Emits the same observability span kinds the mechanisms historically
+    emitted inline, named under ``label``: ``price_set`` around steps
+    1–2 and one ``greedy_group`` span around the whole cover sweep of
+    step 3.  A caller that already holds the instance's ``(prices,
+    groups)`` — the engine, whose grouping cache is shared across
+    solvers — passes it via ``grouping`` and skips steps 1–2 (and the
+    ``price_set`` span).
 
     When ``cover_solver`` is one of the greedy kernels (dense
     :func:`~repro.coverage.greedy.greedy_cover`, CELF
     :func:`~repro.coverage.lazy.lazy_sparse_greedy_cover`, or the
     auto-dispatching default), the groups are solved as budget-masked
-    restrictions of the full-instance problem through one shared state
+    restrictions of the full-instance problem by one ``solve_chain``
+    call on one shared state
     (:func:`~repro.coverage.dispatch.shared_cover_state`) — no per-group
-    gain-matrix slice.  The groups are solved in ascending price order,
-    so each mask is a superset of the last: the dense state resumes from
-    the previous group's greedy trajectory, and the CELF state reuses its
-    mask-independent initial scoring.  Bit-for-bit identical selections
-    either way.  Any other solver
-    receives each group's standalone sub-problem.
+    gain-matrix slice.  The groups come in ascending price order, so
+    each mask is a superset of the last: the dense state advances the
+    nested groups in lockstep, each resuming from the previous group's
+    greedy trajectory, and the CELF state solves them one by one from
+    its mask-independent initial scoring.  Bit-for-bit identical
+    selections either way.  Any other solver receives each group's
+    standalone sub-problem.
 
     Raises
     ------
@@ -143,22 +147,25 @@ def build_plan(
         CoverProblem(gains=instance.effective_quality, demands=instance.demands),
     )
 
+    with recorder.span(
+        "greedy_group",
+        f"{label}.{group_span}",
+        n_groups=len(groups),
+        n_prices=int(prices.size),
+        n_candidates=int(groups[-1].candidates.size) if groups else 0,
+    ) as span:
+        if state is not None:
+            results = state.solve_chain([group.candidates for group in groups])
+            group_selections = [result.selection for result in results]
+        else:
+            group_selections = [
+                group.candidates[cover_solver(group.problem).selection]
+                for group in groups
+            ]
+        span.set(cover_sizes=[int(winners.size) for winners in group_selections])
+
     winner_sets: list[np.ndarray] = [None] * prices.size  # type: ignore[list-item]
-    group_selections: list[np.ndarray] = []
-    for group in groups:
-        with recorder.span(
-            "greedy_group",
-            f"{label}.{group_span}",
-            n_candidates=int(group.candidates.size),
-            n_prices=int(group.price_indices.size),
-        ) as span:
-            if state is not None:
-                winners = state.solve(budget_mask=group.candidates).selection
-            else:
-                local = cover_solver(group.problem).selection
-                winners = group.candidates[local]
-            span.set(cover_size=int(winners.size))
-        group_selections.append(winners)
+    for group, winners in zip(groups, group_selections):
         for k in group.price_indices:
             winner_sets[int(k)] = winners
 

@@ -82,7 +82,8 @@ METRICS_SCHEMA = "repro-metrics/2"
 #: kinds the trace validator and the bench harness know about:
 #:
 #: - ``price_set``   — feasible-price-set construction + price grouping
-#: - ``greedy_group`` — one greedy cover run for one affordable-worker group
+#: - ``greedy_group`` — one plan's cover sweep over all affordable-worker
+#:   groups (one chained solve for the greedy kernels)
 #: - ``exp_mech``    — exponential-mechanism scoring/normalization
 #: - ``sample``      — drawing the final outcome from the PMF
 #: - ``batch``       — one :class:`~repro.bench.BatchAuctionRunner` batch

@@ -43,6 +43,52 @@ class TestConstruction:
             make_pmf(prices=(), probs=(), sets=())
 
 
+class TestWinnerSetNormalization:
+    def test_prices_of_one_group_share_one_read_only_array(self):
+        group = np.array([4, 1, 2])
+        pmf = PricePMF(
+            prices=np.array([1.0, 2.0, 3.0]),
+            probabilities=np.array([0.2, 0.3, 0.5]),
+            winner_sets=(group, group, np.array([0, 1])),
+            n_workers=5,
+        )
+        first, second, third = pmf.winner_sets
+        assert first is second and first is not third
+        assert first.tolist() == [1, 2, 4] and first.dtype == np.dtype(int)
+        assert not first.flags.writeable and not third.flags.writeable
+        # The caller's array is neither aliased nor frozen.
+        assert first is not group and group.flags.writeable
+        assert group.tolist() == [4, 1, 2]
+
+    def test_lists_and_unsorted_inputs_are_normalized(self):
+        pmf = PricePMF(
+            prices=np.array([1.0, 2.0, 3.0, 4.0]),
+            probabilities=np.array([0.25, 0.25, 0.25, 0.25]),
+            winner_sets=([3, 0, 2], np.array([[2], [1]], dtype=np.int32), (), np.array([5.0, 1.0])),
+            n_workers=6,
+        )
+        assert [s.tolist() for s in pmf.winner_sets] == [[0, 2, 3], [1, 2], [], [1, 5]]
+        for s in pmf.winner_sets:
+            assert s.dtype == np.dtype(int) and s.ndim == 1 and not s.flags.writeable
+
+    def test_reweighting_keeps_the_sharing(self):
+        group = np.array([0, 1])
+        pmf = PricePMF(
+            prices=np.array([1.0, 2.0]),
+            probabilities=np.array([0.5, 0.5]),
+            winner_sets=(group, group),
+            n_workers=2,
+        )
+        again = PricePMF(
+            prices=pmf.prices,
+            probabilities=np.array([0.1, 0.9]),
+            winner_sets=pmf.winner_sets,
+            n_workers=2,
+        )
+        assert again.winner_sets[0] is again.winner_sets[1]
+        assert again.winner_sets[0].tolist() == [0, 1]
+
+
 class TestMoments:
     def test_total_payments(self):
         pmf = make_pmf()
