@@ -15,8 +15,9 @@ repository accumulates a performance trajectory across PRs:
 * ``DPHSRCAuction.price_pmf`` (full Algorithm 1 winner-set stage, both
   kernels, and the ``10^5``-worker auto-dispatch scenarios) and the
   :class:`~repro.bench.BatchAuctionRunner` serial / process backends
-  over both instance transports (pickle and shared memory), plus the
-  ``ledger_throughput`` scenario — ``10^6`` privacy-budget charges
+  over both instance transports (pickle and shared memory), each timed
+  cold (its first run, which forks the shared worker pool) and warm,
+  plus the ``ledger_throughput`` scenario — ``10^6`` privacy-budget charges
   through the in-memory, merged-snapshot, and append-only JSON-lines
   backends of :mod:`repro.privacy.budget` → ``BENCH_auction.json``.
 
@@ -102,6 +103,7 @@ from repro.privacy.budget import (  # noqa: E402
     JsonlBudgetStore,
     use_budget_store,
 )
+from repro.utils.pool import shutdown_shared_pools  # noqa: E402
 from repro.workloads import SETTING_I  # noqa: E402
 from repro.workloads.generator import generate_instance  # noqa: E402
 
@@ -671,13 +673,20 @@ def bench_multi_mechanism(smoke: bool, repeats: int, trace: MetricsRecorder) -> 
     ]
 
 
-def bench_batch_runner(smoke: bool, trace: MetricsRecorder) -> list[dict]:
-    """Serial vs process-pool batch execution; asserts identical outcomes.
+def bench_batch_runner(smoke: bool, repeats: int, trace: MetricsRecorder) -> list[dict]:
+    """Serial vs process-pool batch execution, cold and warm; asserts identical outcomes.
 
-    The timed runs stay recorder-free; an instrumented serial pass and an
-    instrumented 2-worker pooled pass then assert that (a) outcomes match
-    the recorder-free run bit-for-bit and (b) the deterministically merged
-    counters are identical across backends.
+    Process batches run on the shared worker pools of
+    :mod:`repro.utils.pool`, which outlive a batch, so each configuration
+    runs once cold and then ``repeats`` times warm: ``cold_seconds`` is the
+    first run and ``seconds`` the best warm one.  The pools are shut down
+    first, so the cold run at each width includes forking its pool; the
+    shared-memory entry runs on the width-2 pool that the pickle entry
+    already warmed.  The timed runs stay recorder-free; an instrumented
+    serial pass and instrumented 2-worker pooled passes (both
+    transports) then assert that (a) outcomes match the recorder-free
+    run bit-for-bit and (b) the deterministically merged counters are
+    identical across backends and transports.
     """
     n_instances = 8 if smoke else 32
     n_workers = 40 if smoke else 80
@@ -685,114 +694,81 @@ def bench_batch_runner(smoke: bool, trace: MetricsRecorder) -> list[dict]:
         n_instances, n_workers=n_workers, n_tasks=10, seed=WORKLOAD_SEED
     )
     mechanism = DPHSRCAuction(epsilon=BENCH_SETTING.epsilon)
-    serial = BatchAuctionRunner(mechanism, backend="serial").run(batch, seed=MASTER_RUN_SEED)
+    configs = (
+        [("serial", "pickle", 1)]
+        + [("process", "pickle", workers) for workers in ((2,) if smoke else (2, 4))]
+        + [("process", "shared_memory", 2)]
+    )
 
-    serial_rec = MetricsRecorder()
-    instrumented = BatchAuctionRunner(mechanism, backend="serial").run(
-        batch, seed=MASTER_RUN_SEED, recorder=serial_rec
-    )
-    if not all(
-        a.price == b.price and np.array_equal(a.winners, b.winners)
-        for a, b in zip(serial.outcomes, instrumented.outcomes)
+    def same_outcomes(left, right) -> bool:
+        return all(
+            a.price == b.price and np.array_equal(a.winners, b.winners)
+            for a, b in zip(left.outcomes, right.outcomes)
+        )
+
+    shutdown_shared_pools()
+    serial = None
+    timed = []
+    for backend, transport, workers in configs:
+        runner = BatchAuctionRunner(
+            mechanism, backend=backend, max_workers=workers, transport=transport
+        )
+        runs = [runner.run(batch, seed=MASTER_RUN_SEED) for _ in range(1 + max(1, repeats))]
+        serial = serial or runs[0]
+        if not all(same_outcomes(serial, run) for run in runs):
+            raise AssertionError(
+                f"batched ({backend}:{workers}, {transport}) and serial outcomes diverged"
+            )
+        timed.append((backend, transport, workers, runs))
+
+    # Instrumented passes (outside the timing loop): outcomes unchanged by
+    # the recorder, merged counters identical across backends/transports.
+    recorders = {}
+    for backend, transport in (
+        ("serial", "pickle"), ("process", "pickle"), ("process", "shared_memory")
     ):
-        raise AssertionError("batch outcomes diverged with a recorder installed")
-    pooled_rec = MetricsRecorder()
-    BatchAuctionRunner(mechanism, backend="process", max_workers=2).run(
-        batch, seed=MASTER_RUN_SEED, recorder=pooled_rec
-    )
-    if serial_rec.counters != pooled_rec.counters:
-        raise AssertionError("merged batch counters diverged between backends")
+        recorder = MetricsRecorder()
+        instrumented = BatchAuctionRunner(
+            mechanism, backend=backend, max_workers=2, transport=transport
+        ).run(batch, seed=MASTER_RUN_SEED, recorder=recorder)
+        if not same_outcomes(serial, instrumented):
+            raise AssertionError(
+                f"batch outcomes diverged with a recorder installed ({backend}, {transport})"
+            )
+        recorders[backend, transport] = recorder
+    serial_rec = recorders["serial", "pickle"]
+    for key, recorder in recorders.items():
+        if recorder.counters != serial_rec.counters:
+            raise AssertionError(f"merged batch counters diverged ({key})")
     trace.merge(serial_rec)
 
-    results = [
-        {
+    results = []
+    for backend, transport, workers, runs in timed:
+        cold = runs[0].wall_time
+        warm = min(run.wall_time for run in runs[1:])
+        entry = {
             "name": "batch_runner",
-            "backend": "serial",
-            "transport": "pickle",
+            "backend": backend,
+            "transport": transport,
             "n_instances": n_instances,
             "n_workers_per_instance": n_workers,
-            "max_workers": 1,
+            "max_workers": workers,
             "seed": MASTER_RUN_SEED,
-            "seconds": serial.wall_time,
-            "mean_winners": float(np.mean([o.n_winners for o in serial.outcomes])),
+            "seconds": warm,
+            "cold_seconds": cold,
+            "mean_winners": float(np.mean([o.n_winners for o in runs[0].outcomes])),
             "identical_to_serial": True,
-            "metrics": recorder_metrics(serial_rec),
+            "metrics": recorder_metrics(recorders[backend, transport]),
         }
-    ]
-    print(
-        f"  {'batch_runner':>20} B={n_instances:<4} backend=serial   "
-        f"{serial.wall_time * 1e3:8.2f} ms"
-    )
-    for workers in (2,) if smoke else (2, 4):
-        pooled = BatchAuctionRunner(
-            mechanism, backend="process", max_workers=workers
-        ).run(batch, seed=MASTER_RUN_SEED)
-        identical = all(
-            a.price == b.price and np.array_equal(a.winners, b.winners)
-            for a, b in zip(serial.outcomes, pooled.outcomes)
-        )
-        if not identical:
-            raise AssertionError(
-                f"batched (workers={workers}) and serial outcomes diverged"
-            )
-        results.append(
-            {
-                "name": "batch_runner",
-                "backend": "process",
-                "transport": "pickle",
-                "n_instances": n_instances,
-                "n_workers_per_instance": n_workers,
-                "max_workers": workers,
-                "seed": MASTER_RUN_SEED,
-                "seconds": pooled.wall_time,
-                "mean_winners": float(np.mean([o.n_winners for o in pooled.outcomes])),
-                "identical_to_serial": True,
-                "metrics": recorder_metrics(pooled_rec),
-                "metrics_identical_to_serial": True,
-            }
-        )
+        if backend == "process":
+            entry["metrics_identical_to_serial"] = True
+        results.append(entry)
+        label = f"{backend}:{workers}" if backend == "process" else backend
         print(
-            f"  {'batch_runner':>20} B={n_instances:<4} backend=process:{workers} "
-            f"{pooled.wall_time * 1e3:8.2f} ms identical=True"
+            f"  {'batch_runner':>20} B={n_instances:<4} backend={label:<9} "
+            f"{transport:<13} cold {cold * 1e3:8.2f} ms  warm {warm * 1e3:8.2f} ms "
+            f"identical=True"
         )
-    # Zero-copy transport: the same pooled run with instances attached
-    # via multiprocessing.shared_memory instead of pickled per task.
-    # Outcomes and deterministically merged counters must both match the
-    # serial pickle run bit-for-bit.
-    shm_rec = MetricsRecorder()
-    shm = BatchAuctionRunner(
-        mechanism, backend="process", max_workers=2, transport="shared_memory"
-    ).run(batch, seed=MASTER_RUN_SEED, recorder=shm_rec)
-    if not all(
-        a.price == b.price and np.array_equal(a.winners, b.winners)
-        for a, b in zip(serial.outcomes, shm.outcomes)
-    ):
-        raise AssertionError("shared-memory and pickle outcomes diverged")
-    if serial_rec.counters != shm_rec.counters:
-        raise AssertionError("merged counters diverged between transports")
-    timed_shm = BatchAuctionRunner(
-        mechanism, backend="process", max_workers=2, transport="shared_memory"
-    ).run(batch, seed=MASTER_RUN_SEED)
-    results.append(
-        {
-            "name": "batch_runner",
-            "backend": "process",
-            "transport": "shared_memory",
-            "n_instances": n_instances,
-            "n_workers_per_instance": n_workers,
-            "max_workers": 2,
-            "seed": MASTER_RUN_SEED,
-            "seconds": timed_shm.wall_time,
-            "mean_winners": float(np.mean([o.n_winners for o in timed_shm.outcomes])),
-            "identical_to_serial": True,
-            "metrics": recorder_metrics(shm_rec),
-            "metrics_identical_to_serial": True,
-        }
-    )
-    print(
-        f"  {'batch_runner':>20} B={n_instances:<4} backend=process:2 shm "
-        f"{timed_shm.wall_time * 1e3:8.2f} ms identical=True"
-    )
     return results
 
 
@@ -1377,7 +1353,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": bench_price_pmf(args.smoke, args.repeats, trace)
         + bench_price_pmf_scale(args.smoke, args.repeats, trace)
         + bench_multi_mechanism(args.smoke, args.repeats, trace)
-        + bench_batch_runner(args.smoke, trace)
+        + bench_batch_runner(args.smoke, args.repeats, trace)
         + bench_ledger_throughput(args.smoke, trace)
         + bench_online_throughput(args.smoke, trace)
         + bench_campaign_throughput(args.smoke, trace),

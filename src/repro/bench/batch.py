@@ -2,13 +2,23 @@
 
 A deployed platform clears many independent auction instances per round
 (one per region, campaign, or time slot).  :class:`BatchAuctionRunner`
-executes such a batch through one mechanism either serially or on a
-:class:`concurrent.futures.ProcessPoolExecutor`, and guarantees the two
-paths are *outcome-identical*: every instance draws its randomness from
-its own :class:`numpy.random.SeedSequence` child (derived from the
-master seed by position, never from a shared generator's consumption
-order), so neither the backend, the worker count, nor the scheduling
-order can change a single price or winner set.
+executes such a batch through one mechanism either serially or on worker
+processes, and guarantees the two paths are *outcome-identical*: every
+instance draws its randomness from its own
+:class:`numpy.random.SeedSequence` child (derived from the master seed by
+position, never from a shared generator's consumption order), so neither
+the backend, the worker count, nor the scheduling order can change a
+single price or winner set.
+
+The worker processes come from the shared pool of
+:mod:`repro.utils.pool`: one warm pool per configured width, forked by
+the first process batch and reused by every later batch (and by parallel
+payment sweeps) until interpreter exit or
+:func:`~repro.utils.pool.shutdown_shared_pools`.  Each unit runs in an
+empty context and receives the one ambient policy it needs, the
+plan-cache setting of :func:`~repro.engine.scoped_engine`, as an
+argument.  A pool that breaks mid-batch is replaced and the batch
+resubmitted once.
 
 Failure semantics (the :mod:`repro.resilience` integration): an instance
 that raises no longer aborts the batch.  Transient failures
@@ -32,7 +42,13 @@ import hashlib
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+# Unused here since batches run on the shared pool of repro.utils.pool,
+# but the repository benchmark's tracer (perf/tracing.py) patches this
+# module attribute and refuses a missing one.  Never build the
+# long-lived pool through this name: the traced stand-in keeps its
+# ``bench.pool`` span open until shutdown, which a pool that outlives
+# ``run`` would leave open.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -42,7 +58,7 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.auction.mechanism import Mechanism
 from repro.auction.outcome import AuctionOutcome
-from repro.engine.engine import scoped_engine, use_engine
+from repro.engine.engine import SweepEngine, scoped_engine, use_engine
 from repro.exceptions import InstanceExecutionError
 from repro.bench.shm import SharedBatchHandle, SharedInstanceBatch, attach_batch
 from repro.obs import MetricsRecorder, Recorder, current_recorder, use_recorder
@@ -50,6 +66,7 @@ from repro.privacy.budget.context import current_budget_scope, use_budget_scope
 from repro.resilience.context import current_resilience
 from repro.resilience.faults import FaultPlan, ensure_outcome_sane
 from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
+from repro.utils.pool import pool_map
 from repro.utils.rng import RngLike, spawn_seed_sequences
 
 __all__ = ["BatchAuctionRunner", "BatchRunResult"]
@@ -109,6 +126,7 @@ def _run_one(
     mechanism: Mechanism,
     instance: AuctionInstance,
     seed: np.random.SeedSequence,
+    engine: SweepEngine,
     collect_metrics: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     index: int = 0,
@@ -130,6 +148,11 @@ def _run_one(
     recorder stamps ``{trace_id, parent_span, unit}`` into every span it
     records, so the merged trace reconstructs the batch timeline.
 
+    ``engine`` is the batch's :func:`~repro.engine.scoped_engine`, read
+    in the parent when the batch starts: the unit runs on an empty clone
+    of it, so the ambient plan-cache policy (``--no-plan-cache``) reaches
+    warm pool workers, which run every task in an empty context.
+
     When a ``fault_plan`` is supplied, the plan's fault for
     ``(index, attempt)`` is injected: crash/timeout/transient faults
     raise before the mechanism runs, and a poison fault corrupts the
@@ -142,12 +165,12 @@ def _run_one(
     # attempts, or backends — so metrics and outcomes stay identical on
     # the serial and pooled paths even under retries.
     if not collect_metrics:
-        with use_engine(scoped_engine()):
+        with use_engine(engine.fresh()):
             outcome = mechanism.run(instance, np.random.default_rng(seed))
         snapshot = None
     else:
         local = MetricsRecorder(trace=_trace_context(trace_id, index))
-        with use_recorder(local), use_engine(scoped_engine()):
+        with use_recorder(local), use_engine(engine.fresh()):
             outcome = mechanism.run(instance, np.random.default_rng(seed))
         snapshot = local.snapshot()
     if fault_plan is not None:
@@ -159,6 +182,7 @@ def _run_one_guarded(
     mechanism: Mechanism,
     instance: AuctionInstance,
     seed: np.random.SeedSequence,
+    engine: SweepEngine,
     collect_metrics: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     index: int = 0,
@@ -175,8 +199,8 @@ def _run_one_guarded(
     """
     try:
         outcome, snapshot = _run_one(
-            mechanism, instance, seed, collect_metrics, fault_plan, index, attempt,
-            trace_id,
+            mechanism, instance, seed, engine, collect_metrics, fault_plan, index,
+            attempt, trace_id,
         )
         return outcome, snapshot, None
     except Exception as exc:  # noqa: BLE001 - the whole point is containment
@@ -187,14 +211,16 @@ def _run_one_shared_guarded(
     mechanism: Mechanism,
     handle: SharedBatchHandle,
     seed: np.random.SeedSequence,
+    engine: SweepEngine,
     collect_metrics: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     index: int = 0,
+    attempt: int = 0,
     trace_id: Optional[str] = None,
 ) -> tuple[Optional[AuctionOutcome], Optional[dict], Optional[Exception]]:
     """:func:`_run_one_guarded` over a shared-memory instance.
 
-    The pool worker attaches the batch's segment (once per process, via
+    The pool worker attaches the batch's segment (once per batch, via
     :func:`repro.bench.shm.attach_batch`) and rebuilds instance ``index``
     from zero-copy views instead of receiving it pickled.  Attachment
     failures are contained like execution failures, so a bad segment
@@ -205,8 +231,8 @@ def _run_one_shared_guarded(
     except Exception as exc:  # noqa: BLE001 - containment, as above
         return None, None, exc
     return _run_one_guarded(
-        mechanism, instance, seed, collect_metrics, fault_plan, index,
-        trace_id=trace_id,
+        mechanism, instance, seed, engine, collect_metrics, fault_plan, index,
+        attempt, trace_id,
     )
 
 
@@ -307,14 +333,21 @@ class BatchAuctionRunner:
         picklable for the process backend (all library mechanisms are).
     backend:
         ``"serial"``, ``"process"``, or ``"auto"`` (default).  ``auto``
-        picks the process pool when the batch is large enough to amortize
-        worker start-up (at least ``process_threshold`` instances) and
-        more than one CPU is available, otherwise runs serially.
+        picks the process pool when the batch is large enough to repay
+        shipping units to the workers and results back (at least
+        ``process_threshold`` instances) and more than one CPU is
+        available, otherwise runs serially.  The pool's workers stay
+        warm between batches; only the first process batch of a given
+        width pays their fork.
     max_workers:
-        Process count for the process backend; defaults to the CPU count
+        Width of the shared worker pool for the process backend;
+        defaults to the CPU count.  Batches of every size share the pool
+        of that width; :attr:`BatchRunResult.max_workers` reports it
         capped by the batch size.
     process_threshold:
-        Minimum batch size for ``auto`` to choose the process pool.
+        Minimum batch size for ``auto`` to choose the process pool: below
+        it, per-batch dispatch costs more than the parallel speed-up
+        saves.
     transport:
         How instances reach the execution site: ``"pickle"`` (default —
         instances are serialized into each pool worker) or
@@ -479,6 +512,7 @@ class BatchAuctionRunner:
             backend, workers = "serial", 1
         sink = current_recorder() if recorder is None else recorder
         collect = isinstance(sink, MetricsRecorder)
+        engine = scoped_engine()
         ambient = current_resilience()
         retry = self.retry if self.retry is not None else ambient.retry
         fault_plan = self.fault_plan if self.fault_plan is not None else ambient.fault_plan
@@ -519,45 +553,38 @@ class BatchAuctionRunner:
                         with _tenant_scope(scope, tenants, i):
                             triples.append(
                                 _run_one_guarded(
-                                    self.mechanism, instance, child, collect,
-                                    fault_plan, i, trace_id=trace_id,
+                                    self.mechanism, instance, child, engine,
+                                    collect, fault_plan, i, trace_id=trace_id,
                                 )
                             )
                         del instance
-                elif shared is None:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        triples = list(
-                            pool.map(
-                                _run_one_guarded,
-                                [self.mechanism] * n,
-                                instances,
-                                seeds,
-                                [collect] * n,
-                                [fault_plan] * n,
-                                range(n),
-                                [0] * n,
-                                [trace_id] * n,
-                                chunksize=max(1, n // (4 * workers) or 1),
-                            )
-                        )
                 else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        triples = list(
-                            pool.map(
-                                _run_one_shared_guarded,
-                                [self.mechanism] * n,
-                                [shared.handle] * n,
-                                seeds,
-                                [collect] * n,
-                                [fault_plan] * n,
-                                range(n),
-                                [trace_id] * n,
-                                chunksize=max(1, n // (4 * workers) or 1),
-                            )
-                        )
+                    # The shared pool is as wide as the configured worker
+                    # count, not the batch-capped one, so batches of every
+                    # size reuse the same warm workers.
+                    width = self.max_workers or os.cpu_count() or 1
+                    unit, payload = (
+                        (_run_one_guarded, instances)
+                        if shared is None
+                        else (_run_one_shared_guarded, [shared.handle] * n)
+                    )
+                    triples = pool_map(
+                        width,
+                        unit,
+                        [self.mechanism] * n,
+                        payload,
+                        seeds,
+                        [engine] * n,
+                        [collect] * n,
+                        [fault_plan] * n,
+                        range(n),
+                        [0] * n,
+                        [trace_id] * n,
+                        chunksize=max(1, n // (4 * workers) or 1),
+                    )
                 outcomes, snapshots, failed = self._settle(
-                    triples, instances, seeds, retry, fault_plan, collect, sink,
-                    scope, tenants, trace_id,
+                    triples, instances, seeds, engine, retry, fault_plan, collect,
+                    sink, scope, tenants, trace_id,
                 )
         finally:
             if shared is not None:
@@ -592,6 +619,7 @@ class BatchAuctionRunner:
         triples: list,
         instances: list,
         seeds: list,
+        engine: SweepEngine,
         retry: RetryPolicy | None,
         fault_plan: FaultPlan | None,
         collect: bool,
@@ -634,7 +662,7 @@ class BatchAuctionRunner:
                     self._sleep(delay)
                 with _tenant_scope(scope, tenants, i):
                     outcome, snapshot, error = _run_one_guarded(
-                        self.mechanism, instances[i], seeds[i], collect,
+                        self.mechanism, instances[i], seeds[i], engine, collect,
                         fault_plan, i, attempt, trace_id,
                     )
             if error is not None:

@@ -8,7 +8,7 @@ layout — a structured-array directory plus one flat float64 pool and one
 flat int64 pool — placed in a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment.  Workers
 receive only a tiny picklable :class:`SharedBatchHandle`, attach the
-segment once per process, and rebuild each instance from **read-only
+segment once per batch, and rebuild each instance from **read-only
 NumPy views into the segment** — no array copy, no array pickling.
 
 The rebuilt instances are value-faithful: every float crosses the
@@ -21,7 +21,9 @@ swap, which ``tests/test_bench_shm.py`` pins.
 Lifecycle: the parent (the :class:`~repro.bench.batch.BatchAuctionRunner`)
 owns the segment — it creates it before dispatch and closes *and
 unlinks* it in a ``finally``, so no ``/dev/shm`` entry outlives the
-batch even when workers crash.  Pool workers share the parent's
+batch even when workers crash.  A warm pool worker keeps its mapping
+until the next batch's handle arrives, then closes it, so it never maps
+more than one batch.  Pool workers share the parent's
 :mod:`multiprocessing.resource_tracker`, where their attach-time
 registration is an idempotent no-op; only the parent's ``unlink()``
 deregisters the name (see :func:`attach_batch`).
@@ -247,14 +249,21 @@ class SharedBatchHandle:
 
 
 #: Per-process attachment cache: segment name → (segment, batch view).
-#: Pool workers serve every chunk of one batch from a single attach.
+#: Pool workers serve every chunk of one batch from a single attach and
+#: hold at most one batch: warm workers outlive every batch they serve.
 _WORKER_ATTACHMENTS: dict[str, tuple[shared_memory.SharedMemory, ColumnarBatch]] = {}
 
 
 def attach_batch(handle: SharedBatchHandle) -> ColumnarBatch:
-    """Attach (or reuse this process's attachment of) a shared batch."""
+    """Attach (or reuse this process's attachment of) a shared batch.
+
+    A new handle first detaches the previously attached batch (a worker
+    runs one unit at a time, so no instance of it is still alive), so a
+    warm worker maps at most one batch.
+    """
     entry = _WORKER_ATTACHMENTS.get(handle.name)
     if entry is None:
+        _detach_all()
         # Attaching registers the name with the ambient resource tracker
         # (Python registers every construction, not just creates).  Pool
         # workers inherit the *parent's* tracker, where registration is
@@ -266,6 +275,19 @@ def attach_batch(handle: SharedBatchHandle) -> ColumnarBatch:
         entry = (shm, handle.view(shm))
         _WORKER_ATTACHMENTS[handle.name] = entry
     return entry[1]
+
+
+def _detach_all() -> None:
+    """Drop every cached batch view and close its segment.
+
+    Units drop the instances they rebuilt from a batch when they return,
+    so the segment has no exported buffers left; a :class:`BufferError`
+    from ``close()`` means a view leaked, and is raised.
+    """
+    while _WORKER_ATTACHMENTS:
+        _name, (shm, _batch) = _WORKER_ATTACHMENTS.popitem()
+        del _batch
+        shm.close()
 
 
 class SharedInstanceBatch:

@@ -38,7 +38,6 @@ from repro.campaign.cells import (
     get_cell_kind,
     register_cell_kind,
 )
-from repro.campaign.pool import shared_process_pool, shutdown_shared_pools
 from repro.campaign.presets import PRESETS, build_preset
 from repro.campaign.report import (
     CAMPAIGN_REPORT_SCHEMA,
@@ -48,6 +47,7 @@ from repro.campaign.report import (
 )
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CAMPAIGN_SPEC_SCHEMA, CampaignSpec, CellSpec
+from repro.utils.pool import shared_process_pool, shutdown_shared_pools
 
 __all__ = [
     "CAMPAIGN_SPEC_SCHEMA",

@@ -30,6 +30,7 @@ from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.context import current_resilience
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
+from repro.utils.pool import pool_map
 from repro.utils.rng import RngLike, ensure_rng, ensure_seed_sequence
 from repro.utils.tables import render_table
 from repro.workloads.generator import generate_instance
@@ -163,7 +164,11 @@ def _sweep_point_safe(
     and pooled paths merge identical metrics (see :func:`payment_sweep`).
     A planned fault for ``(index, attempt)`` is injected before the point
     runs; poison surfaces as an immediate error because a statistics dict
-    has no outcome to corrupt.
+    has no outcome to corrupt.  ``engine`` is the sweep's
+    :func:`~repro.engine.scoped_engine`, read in the parent: installed
+    as the point's ambient engine, it makes the point's own
+    ``scoped_engine()`` an empty clone of it, so the plan-cache policy
+    reaches pool workers, which run every task in an empty context.
     """
     (
         setting,
@@ -172,6 +177,7 @@ def _sweep_point_safe(
         n_tasks,
         n_price_samples,
         child_seed,
+        engine,
         collect,
         fault_plan,
         index,
@@ -179,14 +185,15 @@ def _sweep_point_safe(
     ) = args
 
     def evaluate() -> dict[str, PaymentStats]:
-        return payment_sweep_point(
-            setting,
-            mechanisms,
-            n_workers=n_workers,
-            n_tasks=n_tasks,
-            n_price_samples=n_price_samples,
-            seed=np.random.default_rng(child_seed),
-        )
+        with use_engine(engine):
+            return payment_sweep_point(
+                setting,
+                mechanisms,
+                n_workers=n_workers,
+                n_tasks=n_tasks,
+                n_price_samples=n_price_samples,
+                seed=np.random.default_rng(child_seed),
+            )
 
     try:
         if fault_plan is not None:
@@ -309,7 +316,7 @@ def payment_sweep(
     max_workers:
         ``None`` or ``1`` runs serially in-process; larger values fan the
         points out over the shared long-lived process pool
-        (:func:`repro.campaign.pool.shared_process_pool`).
+        (:func:`repro.utils.pool.pool_map`).
         With an active ambient budget store (:mod:`repro.privacy.budget`)
         the sweep always runs serially regardless — budget scopes live
         in contextvars, which do not cross process boundaries.
@@ -354,6 +361,7 @@ def payment_sweep(
     cached = checkpoint.load() if checkpoint is not None else {}
     keys = [seed_fingerprint(child) for child in children]
     pending = [i for i in range(len(points)) if keys[i] not in cached]
+    engine = scoped_engine()
     tasks = {
         i: (
             setting,
@@ -362,6 +370,7 @@ def payment_sweep(
             points[i][1],
             n_price_samples,
             children[i],
+            engine,
             collect,
             fault_plan,
             i,
@@ -380,16 +389,11 @@ def payment_sweep(
     if max_workers is None or max_workers <= 1:
         triples = {i: _sweep_point_safe(tasks[i]) for i in pending}
     else:
-        # One long-lived pool per width (repro.campaign.pool) instead of
-        # spinning workers up and down per call — campaign grids call
-        # this once per figure cell.  Imported lazily: repro.campaign
-        # imports this module.
-        from repro.campaign.pool import shared_process_pool
-
-        pool = shared_process_pool(max_workers)
-        triples = dict(
-            zip(pending, pool.map(_sweep_point_safe, [tasks[i] for i in pending]))
-        )
+        # One long-lived pool per width instead of spinning workers up
+        # and down per call — campaign grids call this once per figure
+        # cell.
+        outputs = pool_map(max_workers, _sweep_point_safe, [tasks[i] for i in pending])
+        triples = dict(zip(pending, outputs))
     results: list[dict[str, PaymentStats]] = []
     for i in range(len(points)):
         if i not in triples:
