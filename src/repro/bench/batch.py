@@ -10,10 +10,13 @@ position, never from a shared generator's consumption order), so neither
 the backend, the worker count, nor the scheduling order can change a
 single price or winner set.
 
-The worker processes come from the shared pool of
-:mod:`repro.utils.pool`: one warm pool per configured width, forked by
-the first process batch and reused by every later batch (and by parallel
-payment sweeps) until interpreter exit or
+Each instance is one unit of work for
+:class:`~repro.resilience.ResilientExecutor`, the library's one unit
+executor: attempt 0 of every instance runs first (in-process or on the
+shared pool of :mod:`repro.utils.pool`), then one loop in the parent
+settles the instances in input order.  The pool is one warm pool per
+configured width, forked by the first process batch and reused by every
+later batch (and by parallel payment sweeps) until interpreter exit or
 :func:`~repro.utils.pool.shutdown_shared_pools`.  Each unit runs in an
 empty context and receives the one ambient policy it needs, the
 plan-cache setting of :func:`~repro.engine.scoped_engine`, as an
@@ -31,15 +34,16 @@ are quarantined: the instance's outcome slot is ``None`` and a typed
 :attr:`BatchRunResult.failed`, so a crash at instance ``k`` still
 returns every other instance's outcome.  A seeded
 :class:`~repro.resilience.FaultPlan` can inject failures for chaos
-testing; fault, retry, and quarantine events are threaded through the
-ambient :mod:`repro.obs` recorder (``resilience.*`` counters and
-``retry`` spans).
+testing; a poisoned outcome is caught by
+:func:`~repro.resilience.ensure_outcome_sane`.  Fault, retry, and
+quarantine events are threaded through the ambient :mod:`repro.obs`
+recorder (``resilience.*`` counters and ``batch.retry.<mechanism>``
+spans).
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import time
 # Unused here since batches run on the shared pool of repro.utils.pool,
@@ -58,20 +62,18 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.auction.mechanism import Mechanism
 from repro.auction.outcome import AuctionOutcome
-from repro.engine.engine import SweepEngine, scoped_engine, use_engine
+from repro.engine.engine import scoped_engine, use_engine
 from repro.exceptions import InstanceExecutionError
 from repro.bench.shm import SharedBatchHandle, SharedInstanceBatch, attach_batch
-from repro.obs import MetricsRecorder, Recorder, current_recorder, use_recorder
+from repro.obs import MetricsRecorder, Recorder, current_recorder
 from repro.privacy.budget.context import current_budget_scope, use_budget_scope
 from repro.resilience.context import current_resilience
-from repro.resilience.faults import FaultPlan, ensure_outcome_sane
-from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
-from repro.utils.pool import pool_map
+from repro.resilience.executor import ResilientExecutor
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryPolicy
 from repro.utils.rng import RngLike, spawn_seed_sequences
 
 __all__ = ["BatchAuctionRunner", "BatchRunResult"]
-
-logger = logging.getLogger("repro.bench.batch")
 
 #: Backends accepted by :class:`BatchAuctionRunner`.
 _BACKENDS = ("auto", "serial", "process")
@@ -81,18 +83,6 @@ _ON_ERROR = ("quarantine", "raise")
 
 #: Instance transports accepted by :class:`BatchAuctionRunner`.
 _TRANSPORTS = ("pickle", "shared_memory")
-
-
-def _tenant_scope(scope, tenants: Optional[Sequence[str]], index: int):
-    """Context manager scoping instance ``index`` to its batch tenant.
-
-    A no-op (``nullcontext``) when the batch has no tenant map or no
-    active ambient budget scope — the common, unbudgeted path must not
-    touch the contextvar at all.
-    """
-    if tenants is None or scope is None or not scope.active:
-        return nullcontext()
-    return use_budget_scope(scope.with_tenant(tenants[index]))
 
 
 def _derive_trace_id(
@@ -111,129 +101,41 @@ def _derive_trace_id(
     return hashlib.blake2s(material.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _trace_context(trace_id: Optional[str], index: int) -> Optional[dict]:
-    """The correlation attrs stamped into unit ``index``'s recorder."""
-    if trace_id is None:
-        return None
-    return {
-        "trace_id": trace_id,
-        "parent_span": f"{trace_id}:batch",
-        "unit": int(index),
-    }
+class _SharedSlot:
+    """Instance ``index`` of a shared-memory batch, rebuilt where it runs.
 
-
-def _run_one(
-    mechanism: Mechanism,
-    instance: AuctionInstance,
-    seed: np.random.SeedSequence,
-    engine: SweepEngine,
-    collect_metrics: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    index: int = 0,
-    attempt: int = 0,
-    trace_id: Optional[str] = None,
-) -> tuple[AuctionOutcome, Optional[dict]]:
-    """Execute one instance with its dedicated seed sequence.
-
-    Module-level so it pickles for the process pool; the generator is
-    constructed inside the worker, making the draw independent of which
-    process (or the parent, for the serial path) runs it.
-
-    When ``collect_metrics`` is set, the instance runs under a fresh
-    :class:`~repro.obs.MetricsRecorder` whose picklable snapshot is
-    returned alongside the outcome.  The serial path uses the *same*
-    fresh-recorder-per-instance protocol, so merged metrics are
-    identical across backends (merging happens in input order in
-    :meth:`BatchAuctionRunner.run`).  With a ``trace_id``, the unit
-    recorder stamps ``{trace_id, parent_span, unit}`` into every span it
-    records, so the merged trace reconstructs the batch timeline.
-
-    ``engine`` is the batch's :func:`~repro.engine.scoped_engine`, read
-    in the parent when the batch starts: the unit runs on an empty clone
-    of it, so the ambient plan-cache policy (``--no-plan-cache``) reaches
-    warm pool workers, which run every task in an empty context.
-
-    When a ``fault_plan`` is supplied, the plan's fault for
-    ``(index, attempt)`` is injected: crash/timeout/transient faults
-    raise before the mechanism runs, and a poison fault corrupts the
-    completed outcome, which the sanity validation then rejects.
+    In the parent it unpacks from the owner's view of the segment, the
+    same round trip a pool worker makes.  Pickled, it carries only the
+    handle, and a worker attaches the segment once per batch.
     """
-    if fault_plan is not None:
-        fault_plan.raise_if_planned(index, attempt)
-    # A fresh sweep engine per instance execution (mirroring the fresh
-    # recorder): plan reuse within one instance, never across instances,
-    # attempts, or backends — so metrics and outcomes stay identical on
-    # the serial and pooled paths even under retries.
-    if not collect_metrics:
+
+    def __init__(self, handle: SharedBatchHandle, index: int, owner=None) -> None:
+        self.handle, self.index, self.owner = handle, index, owner
+
+    def __reduce__(self):
+        return (_SharedSlot, (self.handle, self.index))
+
+    def unpack(self) -> AuctionInstance:
+        """The instance, as zero-copy views into the segment."""
+        batch = self.owner.batch if self.owner is not None else attach_batch(self.handle)
+        return batch.unpack(self.index)
+
+
+def _run_instance(mechanism, instance, seed, engine, budget=None) -> AuctionOutcome:
+    """One batch instance as a unit of work for the resilient executor.
+
+    Module-level so it pickles for the pool.  ``engine`` is the batch's
+    :func:`~repro.engine.scoped_engine`, read in the parent: every
+    execution runs on an empty clone of it (plan reuse within one
+    instance, never across instances, attempts or backends), which also
+    carries the plan-cache policy to warm pool workers.  ``budget`` is
+    the ambient budget scope re-scoped to the instance's tenant.
+    """
+    if isinstance(instance, _SharedSlot):
+        instance = instance.unpack()
+    with use_budget_scope(budget) if budget is not None else nullcontext():
         with use_engine(engine.fresh()):
-            outcome = mechanism.run(instance, np.random.default_rng(seed))
-        snapshot = None
-    else:
-        local = MetricsRecorder(trace=_trace_context(trace_id, index))
-        with use_recorder(local), use_engine(engine.fresh()):
-            outcome = mechanism.run(instance, np.random.default_rng(seed))
-        snapshot = local.snapshot()
-    if fault_plan is not None:
-        outcome = ensure_outcome_sane(fault_plan.corrupt(outcome, index, attempt))
-    return outcome, snapshot
-
-
-def _run_one_guarded(
-    mechanism: Mechanism,
-    instance: AuctionInstance,
-    seed: np.random.SeedSequence,
-    engine: SweepEngine,
-    collect_metrics: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    index: int = 0,
-    attempt: int = 0,
-    trace_id: Optional[str] = None,
-) -> tuple[Optional[AuctionOutcome], Optional[dict], Optional[Exception]]:
-    """:func:`_run_one`, but failures return instead of raise.
-
-    Pool workers must never raise out of ``pool.map`` — that would
-    discard every other instance's finished work — so the guarded form
-    returns ``(outcome, snapshot, error)`` with exactly one of
-    ``outcome``/``error`` set.  A failing attempt's partial metrics
-    snapshot is discarded; only successful attempts contribute metrics.
-    """
-    try:
-        outcome, snapshot = _run_one(
-            mechanism, instance, seed, engine, collect_metrics, fault_plan, index,
-            attempt, trace_id,
-        )
-        return outcome, snapshot, None
-    except Exception as exc:  # noqa: BLE001 - the whole point is containment
-        return None, None, exc
-
-
-def _run_one_shared_guarded(
-    mechanism: Mechanism,
-    handle: SharedBatchHandle,
-    seed: np.random.SeedSequence,
-    engine: SweepEngine,
-    collect_metrics: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    index: int = 0,
-    attempt: int = 0,
-    trace_id: Optional[str] = None,
-) -> tuple[Optional[AuctionOutcome], Optional[dict], Optional[Exception]]:
-    """:func:`_run_one_guarded` over a shared-memory instance.
-
-    The pool worker attaches the batch's segment (once per batch, via
-    :func:`repro.bench.shm.attach_batch`) and rebuilds instance ``index``
-    from zero-copy views instead of receiving it pickled.  Attachment
-    failures are contained like execution failures, so a bad segment
-    quarantines the instance rather than poisoning the pool.
-    """
-    try:
-        instance = attach_batch(handle).unpack(int(index))
-    except Exception as exc:  # noqa: BLE001 - containment, as above
-        return None, None, exc
-    return _run_one_guarded(
-        mechanism, instance, seed, engine, collect_metrics, fault_plan, index,
-        attempt, trace_id,
-    )
+            return mechanism.run(instance, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -357,8 +259,8 @@ class BatchAuctionRunner:
         segment (the serial backend round-trips through the same
         segment, keeping the two backends bit-identical).  The packed
         values are value-faithful, so outcomes and merged metrics are
-        identical across transports too; retries run from the original
-        in-process instances either way.  The segment is closed and
+        identical across transports too; retries run in the parent, from
+        its own view of the segment.  The segment is closed and
         unlinked in a ``finally``, so no ``/dev/shm`` entry survives the
         call.
     retry:
@@ -489,9 +391,11 @@ class BatchAuctionRunner:
         Notes
         -----
         With an *active* ambient budget store the batch always runs on
-        the serial backend: budget scopes live in contextvars, which do
-        not cross process-pool boundaries, and serial charging is also
-        what keeps each charge's admission decision ordered.
+        the serial backend (the executor's in-process rule, see
+        :meth:`~repro.resilience.ResilientExecutor.run_units`): budget
+        scopes live in contextvars, which do not cross process-pool
+        boundaries, and serial charging is also what keeps each charge's
+        admission decision ordered.
         """
         instances = list(instances)
         if tenants is not None:
@@ -501,27 +405,22 @@ class BatchAuctionRunner:
                     f"tenants has length {len(tenants)} but the batch has "
                     f"{len(instances)} instances"
                 )
-        seeds = spawn_seed_sequences(seed, len(instances))
-        backend, workers = self._resolve(len(instances))
-        scope = current_budget_scope()
-        if scope.active and backend != "serial":
-            logger.info(
-                "budget store active: forcing the serial backend so every "
-                "ε-draw charges the ambient store in admission order"
-            )
-            backend, workers = "serial", 1
-        sink = current_recorder() if recorder is None else recorder
-        collect = isinstance(sink, MetricsRecorder)
-        engine = scoped_engine()
-        ambient = current_resilience()
-        retry = self.retry if self.retry is not None else ambient.retry
-        fault_plan = self.fault_plan if self.fault_plan is not None else ambient.fault_plan
         n = len(instances)
+        seeds = spawn_seed_sequences(seed, n)
+        backend, workers = self._resolve(n)
+        ambient = current_resilience()
+        executor = ResilientExecutor(
+            retry=self.retry if self.retry is not None else ambient.retry,
+            fault_plan=self.fault_plan if self.fault_plan is not None else ambient.fault_plan,
+            recorder=current_recorder() if recorder is None else recorder,
+            sleep=self._sleep,
+        )
+        sink = executor.recorder
         # The correlation id is a function of (master entropy, batch
         # size, mechanism) only — never backend/transport/scheduling —
         # so serial and pooled runs of the same seeded batch stamp the
         # *same* id and their merged traces stay bit-identical.
-        trace_id = _derive_trace_id(seeds, n, self.mechanism.name) if collect else None
+        trace_id = _derive_trace_id(seeds, n, self.mechanism.name) if executor.collect else None
         batch_attrs: dict = dict(
             backend=backend,
             max_workers=workers,
@@ -531,152 +430,69 @@ class BatchAuctionRunner:
         if trace_id is not None:
             batch_attrs["trace_id"] = trace_id
             batch_attrs["span_id"] = f"{trace_id}:batch"
+        scope = current_budget_scope()
+        budgets = (
+            [scope.with_tenant(tenant) for tenant in tenants]
+            if tenants is not None and scope.active
+            else [None] * n
+        )
+        engine = scoped_engine()
         shared = None
         if self.transport == "shared_memory" and n:
             shared = SharedInstanceBatch.create(instances)
+        sources = (
+            instances
+            if shared is None
+            else [_SharedSlot(shared.handle, i, shared) for i in range(n)]
+        )
         start = time.perf_counter()
         try:
-            with sink.span(
-                "batch",
-                f"batch.{self.mechanism.name}",
-                **batch_attrs,
-            ):
-                if backend == "serial":
-                    triples = []
-                    for i, child in enumerate(seeds):
-                        # With shared memory the serial path round-trips
-                        # each instance through the segment, exactly as a
-                        # pool worker would — the backends must not differ.
-                        instance = (
-                            instances[i] if shared is None else shared.batch.unpack(i)
-                        )
-                        with _tenant_scope(scope, tenants, i):
-                            triples.append(
-                                _run_one_guarded(
-                                    self.mechanism, instance, child, engine,
-                                    collect, fault_plan, i, trace_id=trace_id,
-                                )
-                            )
-                        del instance
-                else:
+            with sink.span("batch", f"batch.{self.mechanism.name}", **batch_attrs) as span:
+                done = executor.run_units(
+                    _run_instance,
+                    [
+                        (self.mechanism, source, child, engine, budget)
+                        for source, child, budget in zip(sources, seeds, budgets)
+                    ],
+                    seeds,
                     # The shared pool is as wide as the configured worker
                     # count, not the batch-capped one, so batches of every
                     # size reuse the same warm workers.
-                    width = self.max_workers or os.cpu_count() or 1
-                    unit, payload = (
-                        (_run_one_guarded, instances)
-                        if shared is None
-                        else (_run_one_shared_guarded, [shared.handle] * n)
-                    )
-                    triples = pool_map(
-                        width,
-                        unit,
-                        [self.mechanism] * n,
-                        payload,
-                        seeds,
-                        [engine] * n,
-                        [collect] * n,
-                        [fault_plan] * n,
-                        range(n),
-                        [0] * n,
-                        [trace_id] * n,
-                        chunksize=max(1, n // (4 * workers) or 1),
-                    )
-                outcomes, snapshots, failed = self._settle(
-                    triples, instances, seeds, engine, retry, fault_plan, collect,
-                    sink, scope, tenants, trace_id,
+                    width=(self.max_workers or os.cpu_count() or 1)
+                    if backend == "process"
+                    else None,
+                    on_error=self.on_error,
+                    outcomes=True,
+                    retry_span=f"batch.retry.{self.mechanism.name}",
+                    trace_id=trace_id,
                 )
+                if done.width is None and backend == "process":
+                    # An active budget store kept the units in-process.
+                    backend, workers = "serial", 1
+                    span.set(backend=backend, max_workers=workers)
         finally:
             if shared is not None:
                 shared.dispose()
         wall = time.perf_counter() - start
         metrics = None
-        if collect:
+        if executor.collect:
             # A private recorder merges the same per-unit snapshots in
-            # the same input order as the caller's sink, so
-            # ``result.metrics`` is exportable on its own without
-            # entangling it with whatever else the sink has recorded.
+            # the same input order as the sink did, so ``result.metrics``
+            # is exportable on its own without entangling it with
+            # whatever else the sink has recorded.
             local = MetricsRecorder()
-            for snapshot in snapshots:
+            for snapshot in done.snapshots:
                 if snapshot is not None:
-                    sink.merge_snapshot(snapshot)
                     local.merge_snapshot(snapshot)
             sink.count("batch.instances", n)
             local.count("batch.instances", n)
             metrics = local.snapshot()
         return BatchRunResult(
-            outcomes=tuple(outcomes),
+            outcomes=done.values,
             backend=backend,
             max_workers=workers,
             wall_time=wall,
-            failed=tuple(failed),
+            failed=done.failed,
             trace_id=trace_id,
             metrics=metrics,
         )
-
-    def _settle(
-        self,
-        triples: list,
-        instances: list,
-        seeds: list,
-        engine: SweepEngine,
-        retry: RetryPolicy | None,
-        fault_plan: FaultPlan | None,
-        collect: bool,
-        sink: Recorder,
-        scope=None,
-        tenants: Sequence[str] | None = None,
-        trace_id: Optional[str] = None,
-    ) -> tuple[list, list, list]:
-        """Retry transient failures and quarantine permanent ones.
-
-        Runs in the parent, in input order, for serial and pooled
-        backends alike — which keeps the ``resilience.*`` event stream
-        (and therefore merged metrics) backend-independent.  Retries
-        re-invoke the instance with its original seed; the backoff
-        schedule comes from the seed's reserved retry side-stream, so
-        timing jitter can never perturb an outcome.
-        """
-        outcomes: list = []
-        snapshots: list = []
-        failed: list = []
-        for i, (outcome, snapshot, error) in enumerate(triples):
-            attempt = 0
-            delays: tuple[float, ...] = ()
-            if error is not None and retry is not None:
-                delays = retry.delays(retry_stream(seeds[i]))
-            while error is not None:
-                sink.count("resilience.failures")
-                if not (is_transient(error) and attempt < len(delays)):
-                    break
-                sink.count("resilience.retries")
-                delay = delays[attempt]
-                attempt += 1
-                with sink.span(
-                    "retry",
-                    f"batch.retry.{self.mechanism.name}",
-                    index=i,
-                    attempt=attempt,
-                    delay=delay,
-                ):
-                    self._sleep(delay)
-                with _tenant_scope(scope, tenants, i):
-                    outcome, snapshot, error = _run_one_guarded(
-                        self.mechanism, instances[i], seeds[i], engine, collect,
-                        fault_plan, i, attempt, trace_id,
-                    )
-            if error is not None:
-                wrapped = InstanceExecutionError(i, seeds[i], error, attempts=attempt + 1)
-                if self.on_error == "raise":
-                    raise wrapped from error
-                logger.warning("quarantining batch instance: %s", wrapped)
-                sink.count("resilience.quarantined")
-                failed.append(wrapped)
-                outcomes.append(None)
-                snapshots.append(None)
-            else:
-                if attempt:
-                    sink.count("resilience.recovered")
-                outcomes.append(outcome)
-                snapshots.append(snapshot)
-        return outcomes, snapshots, failed

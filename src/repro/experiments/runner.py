@@ -8,29 +8,30 @@ suite, and EXPERIMENTS.md all render results the same way.
 methodology: draw an instance, compute each mechanism's exact price PMF,
 sample 10,000 clearing prices (as the paper does), and report the mean
 and standard deviation of the platform's total payment.
+
+:func:`payment_sweep` runs a whole sweep of such points, each one a unit
+of work for :class:`~repro.resilience.ResilientExecutor`, which owns the
+retry, checkpoint/resume, pool fan-out and in-order metrics merge.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.analysis.payment import PaymentStats, sampled_payment_stats
 from repro.auction.mechanism import Mechanism
 from repro.engine.engine import scoped_engine, use_engine
-from repro.exceptions import InstanceExecutionError
-from repro.obs import MetricsRecorder, Recorder, current_recorder, use_recorder
-from repro.privacy.budget.context import current_budget_scope
+from repro.obs import Recorder, current_recorder
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.context import current_resilience
+from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
-from repro.utils.pool import pool_map
+from repro.resilience.retry import RetryPolicy
 from repro.utils.rng import RngLike, ensure_rng, ensure_seed_sequence
 from repro.utils.tables import render_table
 from repro.workloads.generator import generate_instance
@@ -44,8 +45,6 @@ __all__ = [
     "encode_payment_stats",
     "decode_payment_stats",
 ]
-
-logger = logging.getLogger("repro.experiments.runner")
 
 
 @dataclass(frozen=True)
@@ -151,61 +150,23 @@ def payment_sweep_point(
     return results
 
 
-def _sweep_point_safe(
-    args,
-) -> tuple[Optional[dict[str, PaymentStats]], Optional[dict], Optional[Exception]]:
-    """Guarded unpack-and-run helper; module-level so it pickles for a pool.
+def _sweep_point(setting, mechanisms, n_workers, n_tasks, n_price_samples, seed, engine):
+    """One sweep point as a unit of work; module-level so it pickles.
 
-    Returns ``(stats, snapshot, error)`` with exactly one of
-    ``stats``/``error`` set — pool workers must never raise out of
-    ``pool.map``, or every other point's finished work would be lost.
-    The snapshot is the picklable state of a fresh per-point recorder
-    (``None`` when collection is off or the point failed), so the serial
-    and pooled paths merge identical metrics (see :func:`payment_sweep`).
-    A planned fault for ``(index, attempt)`` is injected before the point
-    runs; poison surfaces as an immediate error because a statistics dict
-    has no outcome to corrupt.  ``engine`` is the sweep's
-    :func:`~repro.engine.scoped_engine`, read in the parent: installed
-    as the point's ambient engine, it makes the point's own
-    ``scoped_engine()`` an empty clone of it, so the plan-cache policy
-    reaches pool workers, which run every task in an empty context.
+    ``engine`` is the sweep's :func:`~repro.engine.scoped_engine`, read
+    in the parent and installed around the point, so the plan-cache
+    policy reaches pool workers (which run every task in an empty
+    context).
     """
-    (
-        setting,
-        mechanisms,
-        n_workers,
-        n_tasks,
-        n_price_samples,
-        child_seed,
-        engine,
-        collect,
-        fault_plan,
-        index,
-        attempt,
-    ) = args
-
-    def evaluate() -> dict[str, PaymentStats]:
-        with use_engine(engine):
-            return payment_sweep_point(
-                setting,
-                mechanisms,
-                n_workers=n_workers,
-                n_tasks=n_tasks,
-                n_price_samples=n_price_samples,
-                seed=np.random.default_rng(child_seed),
-            )
-
-    try:
-        if fault_plan is not None:
-            fault_plan.raise_if_planned(index, attempt, poison_as_error=True)
-        if not collect:
-            return evaluate(), None, None
-        local = MetricsRecorder()
-        with use_recorder(local):
-            stats = evaluate()
-        return stats, local.snapshot(), None
-    except Exception as exc:  # noqa: BLE001 - the whole point is containment
-        return None, None, exc
+    with use_engine(engine):
+        return payment_sweep_point(
+            setting,
+            mechanisms,
+            n_workers=n_workers,
+            n_tasks=n_tasks,
+            n_price_samples=n_price_samples,
+            seed=np.random.default_rng(seed),
+        )
 
 
 def encode_payment_stats(stats: Mapping[str, PaymentStats]) -> dict:
@@ -287,9 +248,11 @@ def payment_sweep(
     pool workers alike — and the per-point snapshots merge into the sink
     in input order, so merged metrics are backend-independent too.
 
-    Resilience: transient point failures are retried in the parent with
-    the point's original child seed on the policy's deterministic
-    backoff schedule; a permanent failure raises
+    Resilience (each point is one
+    :meth:`~repro.resilience.ResilientExecutor.run_units` unit):
+    transient point failures are retried in the parent with the point's
+    original child seed on the policy's deterministic backoff schedule;
+    a permanent failure raises
     :class:`~repro.exceptions.InstanceExecutionError` (the sweep has no
     quarantine slot — its callers build figure tables that need every
     point).  With a ``checkpoint``, each completed point is durably
@@ -342,13 +305,7 @@ def payment_sweep(
     list of dict
         Per point, ``{mechanism name: PaymentStats}`` in input order.
     """
-    sink = current_recorder() if recorder is None else recorder
-    collect = isinstance(sink, MetricsRecorder)
     ambient = current_resilience()
-    if retry is None:
-        retry = ambient.retry
-    if fault_plan is None:
-        fault_plan = ambient.fault_plan
     master = ensure_seed_sequence(seed)
     children = master.spawn(len(points))
     if checkpoint is None and ambient.checkpoint_dir is not None:
@@ -358,76 +315,25 @@ def payment_sweep(
             n_points=len(points),
             n_price_samples=n_price_samples,
         )
-    cached = checkpoint.load() if checkpoint is not None else {}
-    keys = [seed_fingerprint(child) for child in children]
-    pending = [i for i in range(len(points)) if keys[i] not in cached]
+    executor = ResilientExecutor(
+        retry=ambient.retry if retry is None else retry,
+        fault_plan=ambient.fault_plan if fault_plan is None else fault_plan,
+        checkpoint=checkpoint,
+        recorder=recorder,
+        sleep=sleep,
+    )
     engine = scoped_engine()
-    tasks = {
-        i: (
-            setting,
-            dict(mechanisms),
-            points[i][0],
-            points[i][1],
-            n_price_samples,
-            children[i],
-            engine,
-            collect,
-            fault_plan,
-            i,
-            0,
-        )
-        for i in pending
-    }
-    if max_workers is not None and max_workers > 1 and current_budget_scope().active:
-        # Budget scopes live in contextvars, which never reach pool
-        # workers — charging must stay in-process and in point order.
-        logger.info(
-            "budget store active: running the sweep serially despite "
-            "max_workers=%d", max_workers,
-        )
-        max_workers = 1
-    if max_workers is None or max_workers <= 1:
-        triples = {i: _sweep_point_safe(tasks[i]) for i in pending}
-    else:
-        # One long-lived pool per width instead of spinning workers up
-        # and down per call — campaign grids call this once per figure
-        # cell.
-        outputs = pool_map(max_workers, _sweep_point_safe, [tasks[i] for i in pending])
-        triples = dict(zip(pending, outputs))
-    results: list[dict[str, PaymentStats]] = []
-    for i in range(len(points)):
-        if i not in triples:
-            record = cached[keys[i]]
-            sink.count("resilience.checkpoint.hits")
-            if collect and record.get("snapshot"):
-                sink.merge_snapshot(record["snapshot"])
-            results.append(decode_payment_stats(record["payload"]))
-            continue
-        stats, snapshot, error = triples[i]
-        attempt = 0
-        delays: tuple[float, ...] = ()
-        if error is not None and retry is not None:
-            delays = retry.delays(retry_stream(children[i]))
-        while error is not None:
-            sink.count("resilience.failures")
-            if not (is_transient(error) and attempt < len(delays)):
-                break
-            sink.count("resilience.retries")
-            delay = delays[attempt]
-            attempt += 1
-            with sink.span("retry", "sweep.retry", index=i, attempt=attempt, delay=delay):
-                sleep(delay)
-            retry_task = list(tasks[i])
-            retry_task[-1] = attempt
-            stats, snapshot, error = _sweep_point_safe(tuple(retry_task))
-        if error is not None:
-            raise InstanceExecutionError(i, children[i], error, attempts=attempt + 1) from error
-        if attempt:
-            sink.count("resilience.recovered")
-        if checkpoint is not None:
-            checkpoint.append(keys[i], encode_payment_stats(stats), index=i, snapshot=snapshot)
-            sink.count("resilience.checkpoint.writes")
-        if collect and snapshot is not None:
-            sink.merge_snapshot(snapshot)
-        results.append(stats)
-    return results
+    mechanisms = dict(mechanisms)
+    done = executor.run_units(
+        _sweep_point,
+        [
+            (setting, mechanisms, n_workers, n_tasks, n_price_samples, child, engine)
+            for (n_workers, n_tasks), child in zip(points, children)
+        ],
+        children,
+        width=max_workers if max_workers is not None and max_workers > 1 else None,
+        retry_span="sweep.retry",
+        encode=encode_payment_stats,
+        decode=decode_payment_stats,
+    )
+    return list(done.values)

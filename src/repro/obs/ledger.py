@@ -36,6 +36,7 @@ from typing import Mapping
 
 from repro.exceptions import BudgetExceededError
 from repro.privacy.composition import PrivacyAccountant
+from repro.tolerances import EPSILON_TOL
 from repro.utils import validation
 
 __all__ = ["LedgerEntry", "PrivacyLedger"]
@@ -190,7 +191,7 @@ class PrivacyLedger:
         if store_exc is not None:
             raise store_exc
         total = self.total_epsilon
-        if self.budget is not None and total > self.budget + 1e-12:
+        if self.budget is not None and total > self.budget + EPSILON_TOL:
             raise BudgetExceededError(
                 f"recording ε={epsilon:.6g} from {mechanism!r} pushes the "
                 f"composed total to {total:.6g}, past the configured "
@@ -240,7 +241,7 @@ class PrivacyLedger:
         if limit is None:
             raise ValueError("no budget configured and none supplied to assert against")
         total = self.total_epsilon
-        if total > limit + 1e-12:
+        if total > limit + EPSILON_TOL:
             raise BudgetExceededError(
                 f"composed ε {total:.6g} exceeds the budget {limit:.6g} "
                 f"across {len(self.entries)} recorded draws"

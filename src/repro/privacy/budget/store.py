@@ -38,6 +38,7 @@ from typing import Iterator, Mapping
 
 from repro.exceptions import BudgetExceededError
 from repro.privacy.composition import PrivacyAccountant
+from repro.tolerances import EPSILON_TOL
 from repro.utils import validation
 
 __all__ = [
@@ -48,9 +49,9 @@ __all__ = [
     "InMemoryBudgetStore",
 ]
 
-#: Absolute tolerance on budget-limit comparisons, matching the per-run
-#: ledger's enforcement tolerance so the two layers agree on the margin.
-LIMIT_ATOL = 1e-12
+#: Absolute tolerance on budget-limit comparisons: the one ε-overspend
+#: slack of :mod:`repro.tolerances`, under the name admission imports.
+LIMIT_ATOL = EPSILON_TOL
 
 
 @dataclass

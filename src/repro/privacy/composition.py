@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.tolerances import EPSILON_TOL
 from repro.utils import validation
 
 __all__ = ["PrivacyAccountant", "advanced_composition_epsilon"]
@@ -74,7 +75,7 @@ class PrivacyAccountant:
         else:
             new_sequential += epsilon
         new_total = new_sequential + new_parallel
-        if self.budget is not None and new_total > self.budget + 1e-12:
+        if self.budget is not None and new_total > self.budget + EPSILON_TOL:
             raise ValueError(
                 f"spending ε={epsilon} would exceed the budget "
                 f"({new_total:.6g} > {self.budget:.6g})"

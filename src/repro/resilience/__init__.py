@@ -33,7 +33,10 @@ successful outcome*:
   driver (wired to the CLI's ``--max-retries`` / ``--resume`` /
   ``--fault-plan`` flags).
 * :mod:`repro.resilience.executor` — :class:`ResilientExecutor`, the
-  serial keyed-unit loop combining all of the above.
+  one executor of units of work (batch instances, sweep points, figure
+  repetitions, campaign cells) combining all of the above: attempt 0 of
+  every unit in-process or on the shared pool, then one in-order settle
+  loop in the parent.
 
 Quickstart
 ----------
@@ -61,7 +64,7 @@ from repro.resilience.context import (
     current_resilience,
     use_resilience,
 )
-from repro.resilience.executor import ResilientExecutor
+from repro.resilience.executor import ResilientExecutor, UnitResults
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjectedError,
@@ -106,4 +109,5 @@ __all__ = [
     "use_resilience",
     # executor
     "ResilientExecutor",
+    "UnitResults",
 ]

@@ -1,10 +1,11 @@
 """Ambient resilience configuration (contextvar, like ``repro.obs``).
 
 The execution layers (:class:`~repro.bench.BatchAuctionRunner`,
-:func:`repro.experiments.runner.payment_sweep`, the Figure 1–4 driver)
-accept explicit ``retry``/``fault_plan``/``checkpoint`` arguments, but a
-CLI run needs one switch that reaches every sweep an experiment performs
-without threading parameters through each registry module.
+:func:`repro.experiments.runner.payment_sweep`, the Figure 1–4 driver,
+:class:`~repro.campaign.CampaignRunner`) accept explicit
+``retry``/``fault_plan``/``checkpoint`` arguments, but a CLI run needs
+one switch that reaches every sweep an experiment performs without
+threading parameters through each registry module.
 :func:`use_resilience` installs a :class:`ResilienceConfig` on a
 :mod:`contextvars` variable — exactly the pattern
 :func:`repro.obs.use_recorder` uses — and the execution layers fall back

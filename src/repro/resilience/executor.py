@@ -1,48 +1,115 @@
-"""Serial resilient execution of keyed work units.
+"""The one executor for units of work: attempt, retry, quarantine, resume.
 
-:class:`ResilientExecutor` is the reusable glue for serial sweep loops
-(the Figure 1–4 driver): each work unit is identified by its
-:class:`numpy.random.SeedSequence`, and the executor
+Batch instances (:class:`~repro.bench.BatchAuctionRunner`), sweep points
+(:func:`~repro.experiments.runner.payment_sweep`), figure repetitions
+(the Figure 1–4 driver) and campaign cells
+(:class:`~repro.campaign.CampaignRunner`) all run here.  A unit is a
+function call keyed by its index and its
+:class:`numpy.random.SeedSequence`; :meth:`ResilientExecutor.run_units`
+runs a sequence of them in two phases:
 
-1. returns the cached result when the unit's seed fingerprint is in the
-   checkpoint (replaying the stored metrics snapshot, so resumed metrics
-   and privacy-ledger trails match an uninterrupted run);
-2. otherwise runs the unit — injecting any planned fault, retrying
-   transient failures on the policy's deterministic backoff schedule
-   with the *same* unit seed (so a recovered unit is bit-identical to a
-   never-faulted one) — and appends the result to the checkpoint;
-3. wraps a permanent failure in
-   :class:`~repro.exceptions.InstanceExecutionError` carrying the unit's
-   index and seed.
+1. **Attempt phase.**  Attempt 0 of every unit the checkpoint does not
+   hold runs first, in-process or on the shared pool
+   (:func:`~repro.utils.pool.pool_map`), through :func:`_attempt`, which
+   returns any error as a value — one failing unit never discards the
+   others' finished work.
+2. **Settle phase.**  One loop in the parent, in input order, replays
+   checkpoint hits, retries transient errors with the unit's *own* seed
+   on the :class:`~repro.resilience.RetryPolicy`'s deterministic
+   schedule (a recovered unit is bit-identical to a never-faulted one),
+   raises or quarantines permanent failures as
+   :class:`~repro.exceptions.InstanceExecutionError`, checkpoints
+   completed units and merges their metrics snapshots into the sink.
 
-Metrics protocol: when the ambient/sink recorder is a
-:class:`~repro.obs.MetricsRecorder`, each unit runs under its own fresh
-recorder and snapshots merge into the sink in call order — the same
-fresh-recorder-per-unit, input-order-merge discipline the batch and
-sweep pools use, which is what makes resumed metrics deterministic.
-Failed attempts' partial snapshots are discarded; only the successful
-attempt contributes.
-
-Parallel paths (:class:`~repro.bench.BatchAuctionRunner`,
-:func:`~repro.experiments.runner.payment_sweep`) implement the same
-semantics inline because their attempt-0 execution happens inside pool
-workers; this executor is the serial counterpart.
+Because the settle loop emits every ``resilience.*`` counter, retry span
+and snapshot merge, serial and pooled runs record identical metrics, and
+resumed runs replay the checkpointed snapshots of an uninterrupted one.
+Failed attempts' partial snapshots are discarded.
 """
 
 from __future__ import annotations
 
+import logging
 import time
-from typing import Callable, Optional
+import traceback
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import InstanceExecutionError
 from repro.obs import MetricsRecorder, Recorder, current_recorder, use_recorder
+from repro.privacy.budget.context import current_budget_scope
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import NO_RETRY, RetryPolicy, is_transient, retry_stream
+from repro.resilience.faults import FaultPlan, ensure_outcome_sane
+from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
+from repro.utils.pool import pool_map
 
-__all__ = ["ResilientExecutor"]
+__all__ = ["ResilientExecutor", "UnitResults"]
+
+logger = logging.getLogger("repro.resilience.executor")
+
+#: Failure policies accepted by :meth:`ResilientExecutor.run_units`.
+_ON_ERROR = ("raise", "quarantine")
+
+
+def _attempt(fn, args, index, attempt, fault_plan, collect, trace, outcomes):
+    """One guarded attempt of unit ``index``: ``(value, snapshot, error)``.
+
+    Module-level so it pickles for the pool.  Injects the planned fault,
+    runs ``fn(*args)`` under a fresh recorder stamped with ``trace`` when
+    ``collect``, and applies the poison rule: a unit returning an auction
+    outcome (``outcomes``) is corrupted, then rejected by
+    :func:`~repro.resilience.faults.ensure_outcome_sane`; any other unit
+    has nothing to corrupt, so poison fails it before it runs.
+    """
+    try:
+        if fault_plan is not None:
+            fault_plan.raise_if_planned(index, attempt, poison_as_error=not outcomes)
+        if collect:
+            local = MetricsRecorder(trace=trace)
+            with use_recorder(local):
+                value = fn(*args)
+            snapshot = local.snapshot()
+        else:
+            value, snapshot = fn(*args), None
+        if outcomes and fault_plan is not None:
+            value = ensure_outcome_sane(fault_plan.corrupt(value, index, attempt))
+        return value, snapshot, None
+    except Exception as exc:  # noqa: BLE001 - failures settle in the parent
+        return None, None, exc
+
+
+def _release_frames(error: Optional[BaseException]) -> None:
+    """Clear the locals of a settled failure's frames, keeping its traceback.
+
+    The frames belong to finished attempts, but would pin the unit's
+    arguments (for a shared-memory batch, zero-copy views that keep the
+    segment mapped) for as long as the error is kept.
+    """
+    seen: set[int] = set()
+    while error is not None and id(error) not in seen:
+        seen.add(id(error))
+        traceback.clear_frames(error.__traceback__)
+        error = error.__cause__ or error.__context__
+
+
+@dataclass(frozen=True)
+class UnitResults:
+    """What :meth:`ResilientExecutor.run_units` settled, in input order.
+
+    ``values`` holds one result per unit (``None`` where quarantined),
+    ``snapshots`` each unit's merged metrics snapshot (``None`` when not
+    collected or quarantined), ``failed`` one
+    :class:`~repro.exceptions.InstanceExecutionError` per quarantined
+    unit, and ``width`` the pool width attempt 0 ran on (``None``:
+    in-process).
+    """
+
+    values: tuple
+    snapshots: tuple
+    failed: tuple[InstanceExecutionError, ...]
+    width: Optional[int]
 
 
 class ResilientExecutor:
@@ -59,7 +126,9 @@ class ResilientExecutor:
         units are skipped on resume and appended as they finish.
     recorder:
         Observability sink; defaults to the ambient
-        :func:`repro.obs.current_recorder`.
+        :func:`repro.obs.current_recorder`.  When it is a
+        :class:`~repro.obs.MetricsRecorder`, each unit runs under its own
+        fresh recorder, merged into the sink in input order.
     sleep:
         Injection point for the backoff sleep (tests pass a stub).
 
@@ -106,71 +175,126 @@ class ResilientExecutor:
         encode: Optional[Callable] = None,
         decode: Optional[Callable] = None,
     ):
-        """Execute one unit (or restore it from the checkpoint).
+        """Execute one unit in-process (or restore it from the checkpoint).
 
-        ``fn`` must be a pure function of the unit's ``seed`` — it is
-        re-invoked verbatim on retry, which is what makes a recovered
-        unit bit-identical to a never-faulted one.  ``encode``/``decode``
-        convert the unit result to/from its JSON checkpoint payload.
+        The one-unit case of :meth:`run_units`, for drivers that finish
+        each unit before starting the next; ``fn`` takes no arguments.
+        Raises :class:`~repro.exceptions.InstanceExecutionError` on
+        permanent failure or exhausted retries.
+        """
+        done = self.run_units(fn, [()], [seed], start=index, encode=encode, decode=decode)
+        return done.values[0]
+
+    def run_units(
+        self,
+        fn: Callable,
+        args: Sequence[tuple],
+        seeds: Sequence[np.random.SeedSequence],
+        *,
+        start: int = 0,
+        width: int | None = None,
+        on_error: str = "raise",
+        outcomes: bool = False,
+        retry_span: str = "unit.retry",
+        trace_id: str | None = None,
+        encode: Optional[Callable] = None,
+        decode: Optional[Callable] = None,
+    ) -> UnitResults:
+        """Run unit ``start + i`` as ``fn(*args[i])`` with seed ``seeds[i]``.
+
+        ``fn`` must be a pure function of its arguments: it is re-invoked
+        verbatim on retry, which is what makes a recovered unit
+        bit-identical to a never-faulted one.  ``width=None`` runs the
+        attempt phase in-process; an integer runs it on the shared pool
+        of that width (``fn`` and ``args`` must pickle) — except under an
+        active ambient budget scope, which always runs in-process: budget
+        scopes live in contextvars, which never reach pool workers, and
+        in-process charging keeps every ε-draw's admission in unit order.
+        ``on_error="raise"`` raises the first permanent failure after
+        settling every unit before it; ``"quarantine"`` leaves ``None``
+        in its slot.  ``outcomes`` selects the poison rule of
+        :func:`_attempt`, ``retry_span`` names each backoff's ``retry``
+        span, ``trace_id`` stamps a batch's correlation id into every
+        unit span, and ``encode``/``decode`` convert a result to and from
+        its JSON checkpoint payload.
 
         Raises
         ------
         InstanceExecutionError
-            On permanent failure or exhausted retries; carries ``index``,
-            ``seed``, the causal exception, and the attempt count.
+            With ``on_error="raise"``, on permanent failure or exhausted
+            retries; carries the unit's index, seed, the causal
+            exception, and the attempt count.
         """
+        if on_error not in _ON_ERROR:
+            raise ValueError(f"on_error must be one of {_ON_ERROR}, got {on_error!r}")
         sink = self.recorder
-        key = seed_fingerprint(seed)
-        cached = self._cached.get(key)
-        if cached is not None:
-            sink.count("resilience.checkpoint.hits")
-            if self.collect and cached.get("snapshot"):
-                sink.merge_snapshot(cached["snapshot"])
-            payload = cached["payload"]
-            return decode(payload) if decode is not None else payload
+        keys = [seed_fingerprint(seed) for seed in seeds]
+        pending = [i for i, key in enumerate(keys) if key not in self._cached]
+        if width is not None and current_budget_scope().active:
+            logger.info("budget store active: running %d units in-process", len(pending))
+            width = None
 
-        delays = ()
-        attempt = 0
-        n_failures = 0
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.raise_if_planned(index, attempt, poison_as_error=True)
-                if self.collect:
-                    local = MetricsRecorder()
-                    with use_recorder(local):
-                        value = fn()
-                    snapshot = local.snapshot()
-                else:
-                    value = fn()
-                    snapshot = None
-                break
-            except Exception as exc:
-                n_failures += 1
+        def task(i: int, attempt: int) -> tuple:
+            index = start + i
+            trace = None
+            if trace_id is not None:
+                trace = {"trace_id": trace_id, "parent_span": f"{trace_id}:batch", "unit": index}
+            return (fn, args[i], index, attempt, self.fault_plan, self.collect, trace, outcomes)
+
+        tasks = [task(i, 0) for i in pending]
+        if width is None or not tasks:
+            firsts = [_attempt(*t) for t in tasks]
+        else:
+            chunksize = max(1, len(tasks) // (4 * width))
+            firsts = pool_map(width, _attempt, *zip(*tasks), chunksize=chunksize)
+        first = dict(zip(pending, firsts))
+
+        values, snapshots, failed = [], [], []
+        for i, seed in enumerate(seeds):
+            if i not in first:
+                record = self._cached[keys[i]]
+                sink.count("resilience.checkpoint.hits")
+                snapshot = record.get("snapshot")
+                if self.collect and snapshot:
+                    sink.merge_snapshot(snapshot)
+                values.append(record["payload"] if decode is None else decode(record["payload"]))
+                snapshots.append(snapshot)
+                continue
+            value, snapshot, error = first.pop(i)
+            attempt = 0
+            delays: tuple[float, ...] = ()
+            if error is not None and self.retry is not None:
+                delays = self.retry.delays(retry_stream(seed))
+            while error is not None:
                 sink.count("resilience.failures")
-                if attempt == 0 and self.retry is not None:
-                    delays = self.retry.delays(retry_stream(seed))
-                if is_transient(exc) and attempt < len(delays):
-                    sink.count("resilience.retries")
-                    with sink.span(
-                        "retry",
-                        "unit.retry",
-                        index=index,
-                        attempt=attempt + 1,
-                        delay=delays[attempt],
-                    ):
-                        self.sleep(delays[attempt])
-                    attempt += 1
-                    continue
-                raise InstanceExecutionError(index, seed, exc, attempts=attempt + 1) from exc
-
-        if n_failures:
-            sink.count("resilience.recovered")
-        if self.checkpoint is not None:
-            payload = encode(value) if encode is not None else value
-            self.checkpoint.append(key, payload, index=index, snapshot=snapshot)
-            self._cached[key] = {"key": key, "payload": payload, "snapshot": snapshot}
-            sink.count("resilience.checkpoint.writes")
-        if self.collect and snapshot is not None:
-            sink.merge_snapshot(snapshot)
-        return value
+                if not (is_transient(error) and attempt < len(delays)):
+                    break
+                sink.count("resilience.retries")
+                delay = delays[attempt]
+                attempt += 1
+                with sink.span("retry", retry_span, index=start + i, attempt=attempt, delay=delay):
+                    self.sleep(delay)
+                value, snapshot, error = _attempt(*task(i, attempt))
+            if error is not None:
+                _release_frames(error)
+                wrapped = InstanceExecutionError(start + i, seed, error, attempts=attempt + 1)
+                if on_error == "raise":
+                    raise wrapped from error
+                logger.warning("quarantining unit: %s", wrapped)
+                sink.count("resilience.quarantined")
+                failed.append(wrapped)
+                values.append(None)
+                snapshots.append(None)
+                continue
+            if attempt:
+                sink.count("resilience.recovered")
+            if self.checkpoint is not None:
+                payload = value if encode is None else encode(value)
+                self.checkpoint.append(keys[i], payload, index=start + i, snapshot=snapshot)
+                self._cached[keys[i]] = {"key": keys[i], "payload": payload, "snapshot": snapshot}
+                sink.count("resilience.checkpoint.writes")
+            if self.collect and snapshot is not None:
+                sink.merge_snapshot(snapshot)
+            values.append(value)
+            snapshots.append(snapshot)
+        return UnitResults(tuple(values), tuple(snapshots), tuple(failed), width)

@@ -25,12 +25,11 @@ actually sees:
     payments).  Detected by :func:`ensure_outcome_sane` and quarantined
     as :class:`PoisonedResultError`.  Permanent.
 
-Injection points: :class:`~repro.bench.BatchAuctionRunner` and
-:func:`repro.experiments.runner.payment_sweep` consult the plan inside
-their per-instance execution path (``_run_one`` / the sweep-point task),
-keyed by instance index and attempt number; :class:`FaultyMechanism`
-wraps any single :class:`~repro.auction.mechanism.Mechanism` for
-serial-path harnesses.
+Injection point: every unit of work — batch instance, sweep point,
+figure repetition, campaign cell — consults the plan in the guarded
+attempt of :class:`~repro.resilience.ResilientExecutor`, keyed by unit
+index and attempt number; :class:`FaultyMechanism` wraps any single
+:class:`~repro.auction.mechanism.Mechanism` for serial-path harnesses.
 """
 
 from __future__ import annotations

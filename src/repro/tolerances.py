@@ -9,7 +9,7 @@ bit-for-bit equivalence contracts between the vectorized kernels, the
 retained references, and the :mod:`repro.engine` sweep plans all assume
 one shared tolerance regime.
 
-Two distinct numeric concerns live here:
+Three distinct numeric concerns live here:
 
 * :data:`DEMAND_TOL` — an **absolute** slack on demand/coverage
   comparisons.  A demand (or residual demand) within ``DEMAND_TOL`` of
@@ -27,6 +27,15 @@ Two distinct numeric concerns live here:
   ever pulling in a strictly more expensive worker (grid steps are many
   orders of magnitude larger than the relative guard).
 
+* :data:`EPSILON_TOL` — an **absolute** slack on privacy-budget
+  comparisons.  A composed ε total may exceed its budget by at most
+  ``EPSILON_TOL`` before it counts as an overspend, so a budget spent
+  exactly in several draws is not refused over summation dust.  The
+  accountant (:mod:`repro.privacy.composition`), the per-run ledger
+  (:mod:`repro.obs.ledger`) and the durable budget store
+  (:mod:`repro.privacy.budget`) all guard with it, so the layers agree
+  on the margin.
+
 The constants are intentionally tiny compared to every quantity in the
 paper's Table I settings (prices ≥ 1, demands of order 1, grid steps of
 order 0.1), so they only ever absorb float noise, never real mass.
@@ -40,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEMAND_TOL", "PRICE_DUST_REL", "inflate_prices", "meets_demand"]
+__all__ = ["DEMAND_TOL", "EPSILON_TOL", "PRICE_DUST_REL", "inflate_prices", "meets_demand"]
 
 #: Absolute slack for demand/coverage comparisons and the greedy kernels'
 #: residual snapping + tie-breaking band.
@@ -49,6 +58,10 @@ DEMAND_TOL = 1e-9
 #: Relative dust guard for grid-price vs asking-price comparisons: a grid
 #: price equal to an asking price must count that worker as affordable.
 PRICE_DUST_REL = 1e-12
+
+#: Absolute overspend slack for composed-ε vs budget comparisons, shared
+#: by the accountant, the per-run ledger and the budget store.
+EPSILON_TOL = 1e-12
 
 
 def inflate_prices(prices: np.ndarray) -> np.ndarray:

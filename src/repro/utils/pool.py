@@ -1,10 +1,13 @@
 """Shared, long-lived process pools: the one source of worker processes.
 
-Every process-backed fan-out in the library — each
+Every process-backed fan-out in the library goes through the one unit
+executor, :meth:`repro.resilience.ResilientExecutor.run_units`, whose
+attempt phase submits its units to :func:`pool_map` — each
 :class:`~repro.bench.BatchAuctionRunner` batch on the ``"process"``
 backend (either transport) and each parallel
-:func:`~repro.experiments.runner.payment_sweep` — submits its units to
-:func:`pool_map`.  There is one executor per worker count, created on
+:func:`~repro.experiments.runner.payment_sweep`.  Failures come back as
+values and are retried, quarantined and merged by the executor in the
+parent.  There is one process pool per worker count, created on
 first use, reused by every later call, and shut down at interpreter exit
 or by :func:`shutdown_shared_pools`.  A pool forked and joined per batch
 dominated small batches: on a 2-vCPU host, the traced ``batch_regions``
@@ -27,7 +30,8 @@ between calls) is replaced and the call is resubmitted once; a second
 break raises :class:`~concurrent.futures.process.BrokenProcessPool`.
 Resubmitting is safe because units are pure functions of their
 arguments (instance, seed, attempt) — the serial/process parity suites
-pin that — and budget-scoped work never reaches the pool.
+pin that — and budget-scoped work never reaches the pool (the executor
+keeps it in-process).
 
 Workers share the parent's :mod:`multiprocessing.resource_tracker`,
 which starts before the first fork, so a shared-memory batch a worker

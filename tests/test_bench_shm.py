@@ -14,7 +14,11 @@ Three contracts are pinned here:
   leaves ``/dev/shm`` exactly as it found it.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,8 @@ from repro.resilience import FaultPlan
 pytestmark = pytest.mark.skipif(
     not Path("/dev/shm").is_dir(), reason="requires a /dev/shm filesystem"
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +146,21 @@ class TestNoLeakedSegments:
 
     def test_crashing_worker_still_leaves_no_segment(self, batch, mechanism):
         """A mid-batch crash quarantines the instance, not the segment."""
+        self._quarantine_leaves_no_segment(batch, mechanism, "process", "crash@1")
+
+    @pytest.mark.parametrize("plan", ["crash@1", "poison@1"])
+    def test_serial_quarantine_still_leaves_no_segment(self, batch, mechanism, plan):
+        """The serial backend quarantines from its own view of the segment."""
+        self._quarantine_leaves_no_segment(batch, mechanism, "serial", plan)
+
+    def _quarantine_leaves_no_segment(self, batch, mechanism, backend, plan):
         before = list_batch_segments()
         result = BatchAuctionRunner(
             mechanism,
-            backend="process",
+            backend=backend,
             max_workers=2,
             transport="shared_memory",
-            fault_plan=FaultPlan.parse("crash@1"),
+            fault_plan=FaultPlan.parse(plan),
         ).run(batch, seed=7)
         assert list_batch_segments() == before
         assert result.n_failed == 1
@@ -154,6 +168,54 @@ class TestNoLeakedSegments:
         assert all(
             outcome is not None for i, outcome in enumerate(result.outcomes) if i != 1
         )
+
+    def test_kept_quarantine_errors_pin_no_view(self):
+        """A kept quarantine error does not keep the serial batch's segment mapped.
+
+        Three ways to fail instance 1: a crash before it runs, a poisoned
+        outcome, and an error raised inside the mechanism while the
+        instance's zero-copy views are its locals.  Each error keeps its
+        traceback, yet none may pin a view: one that did would keep the
+        mapping alive past ``dispose()``, which the interpreter reports at
+        exit ("Exception ignored in SharedMemory.__del__ ... BufferError"),
+        hence the fresh interpreter.
+        """
+        script = textwrap.dedent(
+            """
+            from repro.bench import BatchAuctionRunner, seeded_auction_batch
+            from repro.mechanisms.dp_hsrc import DPHSRCAuction
+            from repro.resilience import FaultPlan, FaultyMechanism
+
+            batch = seeded_auction_batch(4, n_workers=30, n_tasks=6, seed=2016)
+            crash = FaultPlan.parse("crash@1")
+            cases = [
+                (DPHSRCAuction(0.5), crash),
+                (DPHSRCAuction(0.5), FaultPlan.parse("poison@1")),
+                (FaultyMechanism(DPHSRCAuction(0.5), crash), None),
+            ]
+            kept = []
+            for mechanism, plan in cases:
+                result = BatchAuctionRunner(
+                    mechanism, backend="serial", transport="shared_memory",
+                    fault_plan=plan,
+                ).run(batch, seed=7)
+                assert [f.index for f in result.failed] == [1], result.failed
+                assert result.failed[0].cause.__traceback__ is not None
+                kept.append(result)
+            print("quarantined", len(kept))
+            """
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "quarantined 3" in run.stdout
+        assert "BufferError" not in run.stderr, run.stderr
 
     def test_dispose_is_idempotent(self, batch):
         shared = SharedInstanceBatch.create(batch)

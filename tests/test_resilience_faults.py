@@ -162,6 +162,8 @@ class TestFaultyMechanism:
 class TestBatchFaultMatrix:
     """The ISSUE's fault matrix: each kind, serial and process backends."""
 
+    transport = "pickle"
+
     def _run(self, backend, **kwargs):
         runner = BatchAuctionRunner(
             MECHANISM,
@@ -169,6 +171,7 @@ class TestBatchFaultMatrix:
             max_workers=2 if backend == "process" else None,
             fault_plan=FaultPlan.parse(MATRIX_PLAN),
             retry=MATRIX_RETRY,
+            transport=self.transport,
             **kwargs,
         )
         recorder = MetricsRecorder()
@@ -224,6 +227,24 @@ class TestBatchFaultMatrix:
             6: PoisonedResultError,
         }
         assert {f.index: f.attempts for f in result.failed} == {1: 1, 3: 3, 6: 1}
+
+
+class TestBatchFaultMatrixSharedMemory(TestBatchFaultMatrix):
+    """The same matrix with every instance rebuilt from a shared segment.
+
+    A subclass rather than a ``transport`` parameter keeps the pickle
+    cells' test ids; together the two classes cover all four backend ×
+    transport cells of the one executor.
+    """
+
+    transport = "shared_memory"
+
+    def test_transports_agree_on_metrics(self):
+        """Quarantine/retry accounting is transport-invariant too."""
+        _, shared_rec = self._run("process")
+        _, pickled_rec = TestBatchFaultMatrix()._run("process")
+        assert shared_rec.counters == pickled_rec.counters
+        assert shared_rec.ledger.entries == pickled_rec.ledger.entries
 
 
 class TestAmbientConfig:

@@ -66,6 +66,15 @@ class TestSeedFingerprint:
 
 class TestSweepResume:
     def test_kill_and_resume_is_bit_identical(self, tmp_path):
+        self._kill_and_resume(tmp_path, max_workers=None)
+
+    def test_pooled_kill_and_resume_is_bit_identical(self, tmp_path):
+        """The same drill on a 2-wide pool: every point's attempt 0 runs
+        before the crash settles, yet exactly the prefix is checkpointed."""
+        completed = self._kill_and_resume(tmp_path, max_workers=2)
+        assert len(completed) == 6
+
+    def _kill_and_resume(self, tmp_path, *, max_workers):
         golden_results, golden_rec = _golden()
 
         ckpt = sweep_checkpoint(
@@ -81,6 +90,7 @@ class TestSweepResume:
                 checkpoint=ckpt,
                 fault_plan=FaultPlan.parse("crash@6"),
                 recorder=MetricsRecorder(),
+                max_workers=max_workers,
                 **SWEEP_KWARGS,
             )
         assert info.value.index == 6
@@ -91,7 +101,13 @@ class TestSweepResume:
         # the checkpoint, fresh points re-run from their original seeds.
         resumed_rec = MetricsRecorder()
         resumed = payment_sweep(
-            SETTING_I, MECHS, POINTS, checkpoint=ckpt, recorder=resumed_rec, **SWEEP_KWARGS
+            SETTING_I,
+            MECHS,
+            POINTS,
+            checkpoint=ckpt,
+            recorder=resumed_rec,
+            max_workers=max_workers,
+            **SWEEP_KWARGS,
         )
         assert resumed == golden_results
         assert _pipeline_counters(resumed_rec) == _pipeline_counters(golden_rec)
@@ -102,6 +118,7 @@ class TestSweepResume:
         ]
         # The resumed run did hit the checkpoint for the completed prefix.
         assert resumed_rec.counters["resilience.checkpoint.hits"] == len(completed)
+        return completed
 
     def test_completed_checkpoint_skips_all_work(self, tmp_path):
         golden_results, _ = _golden()

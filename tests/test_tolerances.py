@@ -19,7 +19,13 @@ import pytest
 from repro.auction.bids import Bid, BidProfile
 from repro.auction.instance import AuctionInstance
 from repro.engine.price_set import feasible_price_set, group_prices_by_candidates
-from repro.tolerances import DEMAND_TOL, PRICE_DUST_REL, inflate_prices, meets_demand
+from repro.tolerances import (
+    DEMAND_TOL,
+    EPSILON_TOL,
+    PRICE_DUST_REL,
+    inflate_prices,
+    meets_demand,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -94,21 +100,26 @@ RAW_TOLERANCE_EXEMPT = {
 }
 
 
-def is_demand_literal(number: str) -> bool:
+def is_literal(number: str, value: float) -> bool:
     try:
-        return float(number) == 1e-9
+        return float(number) == value
     except ValueError:  # hex, octal, imaginary
         return False
 
 
-def raw_demand_literals(path: Path) -> list[int]:
-    """Line numbers of ``1e-9`` number tokens (docstrings and comments excluded)."""
+def raw_literals(path: Path, value: float) -> list[int]:
+    """Line numbers of ``value`` number tokens (docstrings and comments excluded)."""
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
     return [
         tok.start[0]
         for tok in tokens
-        if tok.type == tokenize.NUMBER and is_demand_literal(tok.string)
+        if tok.type == tokenize.NUMBER and is_literal(tok.string, value)
     ]
+
+
+def raw_demand_literals(path: Path) -> list[int]:
+    """Line numbers of ``1e-9`` number tokens (docstrings and comments excluded)."""
+    return raw_literals(path, 1e-9)
 
 
 class TestNoRawDemandLiterals:
@@ -131,6 +142,56 @@ class TestNoRawDemandLiterals:
     def test_exemption_is_still_needed(self):
         for rel in RAW_TOLERANCE_EXEMPT:
             assert raw_demand_literals(SRC / rel), f"{rel} no longer needs its exemption"
+
+
+#: Modules (or packages) whose ε-overspend slack must come from
+#: ``repro.tolerances.EPSILON_TOL`` rather than a raw ``1e-12`` literal.
+EPSILON_LITERAL_LAYERS = ["privacy/composition.py", "obs/ledger.py", "privacy/budget"]
+
+
+class TestOneEpsilonTolerance:
+    def test_pinned_value_and_aliases(self):
+        from repro.privacy.budget import admission, store
+
+        assert EPSILON_TOL == 1e-12
+        assert store.LIMIT_ATOL is EPSILON_TOL
+        assert admission.LIMIT_ATOL is EPSILON_TOL
+
+    @pytest.mark.parametrize("layer", EPSILON_LITERAL_LAYERS)
+    def test_layer_routes_overspend_slack_through_tolerances(self, layer):
+        root = SRC / layer
+        offenders = {}
+        for path in [root] if root.is_file() else sorted(root.glob("*.py")):
+            lines = raw_literals(path, 1e-12)
+            if lines:
+                offenders[path.relative_to(SRC).as_posix()] = lines
+        assert not offenders, (
+            f"raw 1e-12 literals; use repro.tolerances.EPSILON_TOL: {offenders}"
+        )
+
+    def test_layers_share_the_margin(self):
+        """A budget spent in two draws passes every layer; past the slack fails."""
+        from repro.exceptions import BudgetExceededError
+        from repro.obs.ledger import PrivacyLedger
+        from repro.privacy.budget import InMemoryBudgetStore
+        from repro.privacy.composition import PrivacyAccountant
+
+        assert 0.1 + 0.2 > 0.3  # the summation dust the slack absorbs
+        accountant = PrivacyAccountant(budget=0.3)
+        accountant.spend(0.1)
+        accountant.spend(0.2)
+        with pytest.raises(ValueError):
+            accountant.spend(2 * EPSILON_TOL)
+        ledger = PrivacyLedger(budget=0.3)
+        ledger.record("m", epsilon=0.1, sensitivity=1.0)
+        ledger.record("m", epsilon=0.2, sensitivity=1.0)
+        with pytest.raises(BudgetExceededError):
+            ledger.record("m", epsilon=2 * EPSILON_TOL, sensitivity=1.0)
+        store = InMemoryBudgetStore(limit=0.3)
+        store.charge("t", "p", mechanism="m", epsilon=0.1)
+        store.charge("t", "p", mechanism="m", epsilon=0.2)
+        with pytest.raises(BudgetExceededError):
+            store.charge("t", "p", mechanism="m", epsilon=2 * EPSILON_TOL)
 
 
 class TestGridPriceEqualsAskingPrice:
