@@ -58,19 +58,14 @@ class ConvergenceError(ReproError):
 class BudgetExceededError(ReproError):
     """A composed privacy spend exceeded its configured ε budget.
 
-    Raised by :class:`repro.obs.PrivacyLedger` when recording a draw (or
-    asserting after the fact) shows the pure-DP composition of all
-    recorded expenditures past the configured total budget, and by the
-    :mod:`repro.privacy.budget` subsystem — the admission controller
-    refusing a draw pre-flight, or a budget store whose account crossed
-    its limit.
+    Raised by the :mod:`repro.privacy.budget` subsystem: the admission
+    controller refusing a draw pre-flight, or a budget store whose
+    account crossed its limit.
 
     Attributes
     ----------
     tenant, principal:
-        The ``(tenant, principal)`` budget account that overspent, when
-        the error originates from a budget store or admission controller
-        (``None`` for plain per-run ledger overruns).
+        The ``(tenant, principal)`` budget account that overspent.
     mechanism:
         Name of the mechanism whose draw triggered the overrun, when
         known.

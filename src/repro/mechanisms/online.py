@@ -60,6 +60,7 @@ from repro.auction.instance import AuctionInstance
 from repro.exceptions import ValidationError
 from repro.obs import current_recorder
 from repro.privacy.budget.context import current_budget_scope
+from repro.privacy.composition import Composition
 from repro.privacy.exponential import ExponentialMechanism
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.faults import FaultPlan
@@ -701,7 +702,7 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
             )
             rng = np.random.default_rng(self._stage_seed(seed, state.stage))
             index = mechanism.sample(rng)
-        state.charged_epsilon += self.stage_epsilon
+        state.charged_epsilon = Composition(state.charged_epsilon).add(self.stage_epsilon)
         if self.record_ledger:
             recorder.ledger.record(
                 self.name,

@@ -14,10 +14,9 @@ package supplies that substrate in three layers:
   invariance suite asserts this over 50 seeds and across process-pool
   backends).
 * :mod:`repro.obs.ledger` — :class:`PrivacyLedger`, an audit log of
-  every ε-consuming draw (mechanism, ε, sensitivity, composition rule)
-  whose composed total follows the same pure-DP rules as
-  :class:`~repro.privacy.composition.PrivacyAccountant` and can assert
-  against a configured budget.
+  every ε-consuming draw (mechanism, ε, sensitivity, composition rule),
+  composed by the one core in :mod:`repro.privacy.composition`; budgets
+  are enforced by the :mod:`repro.privacy.budget` store it forwards to.
 * :mod:`repro.obs.trace` — JSON-lines export (schema ``repro-trace/1``),
   the validator shared with CI's ``obs-smoke`` job, and the ASCII
   summary report.

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 from repro.exceptions import ValidationError
 from repro.obs.aggregate import QuantileSketch
+from repro.privacy.composition import compose
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs.recorder import MetricsRecorder
@@ -138,14 +139,8 @@ def _normalize(source: Union["MetricsRecorder", Mapping]) -> dict:
             sketch = QuantileSketch()
             sketch.observe_many(float(v) for v in payload)
             histograms[name] = sketch
-    entries = list(snapshot.get("ledger", {}).get("entries", ()))
-    sequential = sum(
-        float(e["epsilon"]) for e in entries if e.get("composition") != "parallel"
-    )
-    parallel_eps = [
-        float(e["epsilon"]) for e in entries if e.get("composition") == "parallel"
-    ]
-    parallel = max(parallel_eps) if parallel_eps else 0.0
+    entries = snapshot.get("ledger", {}).get("entries", ())
+    composition = compose(entries)
     return {
         "counters": dict(snapshot.get("counters", {})),
         "span_seconds": dict(sorted(span_seconds.items())),
@@ -153,9 +148,9 @@ def _normalize(source: Union["MetricsRecorder", Mapping]) -> dict:
         "histograms": histograms,
         "ledger": {
             "entries": len(entries),
-            "sequential": sequential,
-            "parallel": parallel,
-            "composed": sequential + parallel,
+            "sequential": composition.sequential,
+            "parallel": composition.parallel,
+            "composed": composition.total,
         },
     }
 

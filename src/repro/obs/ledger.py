@@ -4,23 +4,19 @@ Where :class:`~repro.privacy.composition.PrivacyAccountant` tracks a
 single running total, the ledger keeps the *full audit trail*: one
 :class:`LedgerEntry` per differentially private draw, recording which
 mechanism spent the budget, how much, at what sensitivity, and under
-which composition rule.  The composed total follows the same pure-DP
-rules the accountant implements — sequential entries add, parallel
-entries cost only their maximum — so the two stay interchangeable
-(:meth:`PrivacyLedger.to_accountant` replays the trail into a fresh
-accountant and the totals agree exactly).
+which composition rule.  Its totals are a running
+:class:`~repro.privacy.composition.Composition` of the entries, the one
+core every ε layer composes through, so a record never re-sums the trail.
 
 The ledger is how the observability layer answers "where did the ε go?":
 the DP-hSRC auction records one entry per exponential-mechanism price
 draw, so after a batch of ``B`` auctions at budget ``ε`` the composed
-total reads exactly ``B·ε`` — and with a configured ``budget`` the
-ledger raises :class:`~repro.exceptions.BudgetExceededError` the moment
-a draw pushes the composition past it (the violating entry is retained,
-so the audit trail shows the overspend).
+total reads exactly ``B·ε``.
 
-Cross-run accounting lives in :mod:`repro.privacy.budget`: the ledger
-is a thin per-run *view* that forwards every recorded draw into the
-ambient :class:`~repro.privacy.budget.BudgetScope` (the default null
+The ledger enforces no budget.  It forwards every recorded draw into the
+ambient :class:`~repro.privacy.budget.BudgetScope`, whose store is the
+one enforcement point (a per-run budget is
+``use_budget_store(InMemoryBudgetStore(limit=...))``; the default null
 scope makes the forward a no-op, so unbudgeted runs are unchanged).
 Forwarding happens even for non-keeping ledgers — budget enforcement
 must not depend on whether an observability recorder is installed —
@@ -35,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.exceptions import BudgetExceededError
-from repro.privacy.composition import PrivacyAccountant
-from repro.tolerances import EPSILON_TOL
+from repro.privacy.composition import Composition
 from repro.utils import validation
 
 __all__ = ["LedgerEntry", "PrivacyLedger"]
@@ -106,11 +101,6 @@ class PrivacyLedger:
 
     Parameters
     ----------
-    budget:
-        Optional total ε budget.  When set, :meth:`record` raises
-        :class:`~repro.exceptions.BudgetExceededError` as soon as the
-        composed total exceeds it (after retaining the violating entry —
-        an audit trail must show the overspend).
     keep:
         ``False`` turns the ledger into a discard-everything stub (used
         by the null recorder so call sites never branch).
@@ -127,12 +117,14 @@ class PrivacyLedger:
     0.2
     """
 
-    def __init__(self, *, budget: float | None = None, keep: bool = True) -> None:
-        if budget is not None:
-            validation.require_positive(budget, "budget")
-        self.budget = budget
+    def __init__(self, *, keep: bool = True) -> None:
         self.keep = bool(keep)
         self.entries: list[LedgerEntry] = []
+        self._composition = Composition()
+
+    def _append(self, entry: LedgerEntry) -> float:
+        self.entries.append(entry)
+        return self._composition.add(entry.epsilon, entry.composition == "parallel")
 
     def record(
         self,
@@ -148,10 +140,9 @@ class PrivacyLedger:
         Raises
         ------
         BudgetExceededError
-            When a configured ``budget`` is exceeded by this draw, or
-            when the ambient budget store's account crossed its limit.
-            The entry/charge is recorded *before* raising so the audit
-            trail keeps the violating expenditure.
+            When the ambient budget store's account crossed its limit.
+            The entry and the charge are both recorded *before* raising,
+            so the audit trail keeps the violating expenditure.
         """
         scope = _ambient_budget_scope()
         store_exc: BudgetExceededError | None = None
@@ -179,7 +170,7 @@ class PrivacyLedger:
             return 0.0
         validation.require_positive(epsilon, "epsilon")
         validation.require_positive(sensitivity, "sensitivity")
-        self.entries.append(
+        total = self._append(
             LedgerEntry(
                 mechanism=str(mechanism),
                 epsilon=float(epsilon),
@@ -190,87 +181,34 @@ class PrivacyLedger:
         )
         if store_exc is not None:
             raise store_exc
-        total = self.total_epsilon
-        if self.budget is not None and total > self.budget + EPSILON_TOL:
-            raise BudgetExceededError(
-                f"recording ε={epsilon:.6g} from {mechanism!r} pushes the "
-                f"composed total to {total:.6g}, past the configured "
-                f"budget {self.budget:.6g} (entry retained in the ledger)"
-            )
         return total
 
     @property
     def sequential_epsilon(self) -> float:
-        """Sum of ε over sequential-composition entries."""
-        return float(
-            sum(e.epsilon for e in self.entries if e.composition == "sequential")
-        )
+        """Sum of ε over sequential-composition entries, in record order."""
+        return self._composition.sequential
 
     @property
     def parallel_epsilon(self) -> float:
         """Max ε over parallel-composition entries (0 when there are none)."""
-        parallel = [e.epsilon for e in self.entries if e.composition == "parallel"]
-        return float(max(parallel)) if parallel else 0.0
+        return self._composition.parallel
 
     @property
     def total_epsilon(self) -> float:
         """Composed total: sequential sum + parallel max (pure DP)."""
-        return self.sequential_epsilon + self.parallel_epsilon
-
-    @property
-    def remaining(self) -> float | None:
-        """Remaining budget, or ``None`` when unbudgeted."""
-        if self.budget is None:
-            return None
-        return max(self.budget - self.total_epsilon, 0.0)
-
-    def assert_within_budget(self, budget: float | None = None) -> float:
-        """Assert the composed total fits ``budget`` (or the configured one).
-
-        Returns the composed total on success.
-
-        Raises
-        ------
-        BudgetExceededError
-            When the composed total exceeds the budget.
-        ValueError
-            When neither a ``budget`` argument nor a configured budget
-            exists to check against.
-        """
-        limit = self.budget if budget is None else float(budget)
-        if limit is None:
-            raise ValueError("no budget configured and none supplied to assert against")
-        total = self.total_epsilon
-        if total > limit + EPSILON_TOL:
-            raise BudgetExceededError(
-                f"composed ε {total:.6g} exceeds the budget {limit:.6g} "
-                f"across {len(self.entries)} recorded draws"
-            )
-        return total
-
-    def to_accountant(self) -> PrivacyAccountant:
-        """Replay the audit trail into a fresh :class:`PrivacyAccountant`.
-
-        The returned accountant's ``spent`` equals :attr:`total_epsilon`
-        exactly — the bridge the ledger tests use to prove both
-        implementations apply the same composition rules.
-        """
-        accountant = PrivacyAccountant(budget=self.budget)
-        for entry in self.entries:
-            accountant.spend(entry.epsilon, parallel=entry.composition == "parallel")
-        return accountant
+        return self._composition.total
 
     # -- merging / export ----------------------------------------------
 
     def snapshot(self) -> dict:
         """Picklable dump (inverse of :meth:`merge_snapshot`)."""
         return {
-            "budget": self.budget,
+            "budget": None,  # kept so the repro-metrics/2 format is unchanged
             "entries": [entry.to_json_obj() for entry in self.entries],
         }
 
     def merge_snapshot(self, snapshot: Mapping) -> None:
-        """Append another ledger's entries (budget of ``self`` is kept).
+        """Append another ledger's entries.
 
         The merged composition follows from the appended entries, so
         merging worker-process ledgers in input order reproduces the
@@ -279,7 +217,7 @@ class PrivacyLedger:
         if not self.keep:
             return
         for obj in snapshot.get("entries", ()):
-            self.entries.append(
+            self._append(
                 LedgerEntry(
                     mechanism=obj["mechanism"],
                     epsilon=float(obj["epsilon"]),
@@ -304,5 +242,5 @@ class PrivacyLedger:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PrivacyLedger(entries={len(self.entries)}, "
-            f"total_epsilon={self.total_epsilon:.6g}, budget={self.budget})"
+            f"total_epsilon={self.total_epsilon:.6g})"
         )

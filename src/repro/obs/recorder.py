@@ -257,11 +257,6 @@ class MetricsRecorder(Recorder):
 
     Parameters
     ----------
-    budget:
-        Optional total ε budget forwarded to the attached
-        :class:`~repro.obs.ledger.PrivacyLedger`; recording a draw that
-        pushes the composed total past it raises
-        :class:`~repro.exceptions.BudgetExceededError`.
     relative_error:
         Accuracy α of the histogram sketches (default 1%); every
         quantile reported for an observed metric is within ``±α``
@@ -290,7 +285,6 @@ class MetricsRecorder(Recorder):
     def __init__(
         self,
         *,
-        budget: float | None = None,
         relative_error: float = DEFAULT_RELATIVE_ERROR,
         trace: Mapping | None = None,
     ) -> None:
@@ -299,7 +293,7 @@ class MetricsRecorder(Recorder):
         self.histograms: dict[str, QuantileSketch] = {}
         self.relative_error = float(relative_error)
         self.trace_context: dict = dict(trace or {})
-        self._ledger = PrivacyLedger(budget=budget)
+        self._ledger = PrivacyLedger()
         self._clock = current_clock()
         self._epoch = self._clock.now()
 

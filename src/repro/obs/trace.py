@@ -27,9 +27,9 @@ remaining lines each carry a ``type`` from :data:`LINE_TYPES`:
     ``composition`` (``sequential``/``parallel``), ``attrs``.
 ``ledger_total``
     Trailer: ``total_epsilon``, ``sequential_epsilon``,
-    ``parallel_epsilon``, ``n_entries``, ``budget``.  The validator
-    recomputes the composition from the ``ledger`` lines and rejects the
-    file when the trailer disagrees.
+    ``parallel_epsilon``, ``n_entries``, ``budget`` (now always
+    ``null``).  The validator recomposes the ``ledger`` lines and rejects
+    the file when the trailer disagrees.
 
 :func:`validate_trace_lines` is shared by the test suite and the CI
 ``obs-smoke`` job; it raises :class:`~repro.exceptions.ValidationError`
@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.exceptions import ValidationError
 from repro.obs.encoding import dumps_json
+from repro.privacy.composition import Composition, compose
 from repro.utils.ascii_plot import ascii_chart
 from repro.utils.tables import render_table
 
@@ -125,7 +126,7 @@ def build_trace_lines(
                 "sequential_epsilon": ledger.sequential_epsilon,
                 "parallel_epsilon": ledger.parallel_epsilon,
                 "n_entries": len(ledger.entries),
-                "budget": ledger.budget,
+                "budget": None,
             }
         )
     )
@@ -226,9 +227,7 @@ def validate_trace_lines(lines: Iterable[str]) -> dict:
     if entries and trailer is None:
         raise ValidationError("trace has ledger entries but no ledger_total trailer")
 
-    sequential = sum(e["epsilon"] for e in entries if e["composition"] == "sequential")
-    parallel_eps = [e["epsilon"] for e in entries if e["composition"] == "parallel"]
-    total = sequential + (max(parallel_eps) if parallel_eps else 0.0)
+    total = compose(entries).total
     if trailer is not None:
         if int(trailer["n_entries"]) != len(entries):
             raise ValidationError(
@@ -330,7 +329,7 @@ def _hist_section(summaries: Mapping[str, Mapping]) -> str | None:
 
 
 def _ledger_sections(
-    entries: Sequence[Mapping], *, total_epsilon: float, budget: float | None
+    entries: Sequence[Mapping], *, total_epsilon: float, budget: float | None = None
 ) -> list[str]:
     if not entries:
         return []
@@ -353,15 +352,11 @@ def _ledger_sections(
         )
     )
     if len(entries) >= 2:
-        running: list[float] = []
-        seq = 0.0
-        par = 0.0
-        for entry in entries:
-            if entry["composition"] == "parallel":
-                par = max(par, float(entry["epsilon"]))
-            else:
-                seq += float(entry["epsilon"])
-            running.append(seq + par)
+        composition = Composition()
+        running = [
+            composition.add(float(entry["epsilon"]), entry.get("composition") == "parallel")
+            for entry in entries
+        ]
         sections.append(
             ascii_chart(
                 list(range(1, len(running) + 1)),
@@ -464,7 +459,6 @@ def render_report(recorder: "MetricsRecorder") -> str:
         _ledger_sections(
             [entry.to_json_obj() for entry in ledger.entries],
             total_epsilon=ledger.total_epsilon,
-            budget=ledger.budget,
         )
     )
     sections = [s for s in sections if s]
@@ -502,18 +496,10 @@ def render_trace_report(objs: Sequence[Mapping]) -> str:
     trailer = next(
         (obj for obj in reversed(objs) if obj.get("type") == "ledger_total"), None
     )
-    if trailer is not None:
-        total_epsilon = float(trailer["total_epsilon"])
-        budget = trailer.get("budget")
-    else:
-        sequential = sum(
-            float(e["epsilon"]) for e in entries if e["composition"] == "sequential"
-        )
-        parallel = [
-            float(e["epsilon"]) for e in entries if e["composition"] == "parallel"
-        ]
-        total_epsilon = sequential + (max(parallel) if parallel else 0.0)
-        budget = None
+    if trailer is None:
+        total_epsilon, budget = compose(entries).total, None
+    else:  # traces written before the ledger lost its budget may carry one
+        total_epsilon, budget = float(trailer["total_epsilon"]), trailer.get("budget")
     sections = [
         _span_section(seconds, counts),
         _gantt_section(spans),

@@ -5,8 +5,8 @@
   (Algorithm 1, line 16).
 * :mod:`~repro.privacy.laplace` — the Laplace mechanism, provided for
   completeness of the DP toolbox (used by examples releasing counts).
-* :mod:`~repro.privacy.composition` — sequential / parallel composition
-  accounting for multi-round deployments.
+* :mod:`~repro.privacy.composition` — the one sequential / parallel
+  composition core every ε layer uses, for multi-round deployments.
 * :mod:`~repro.privacy.leakage` — divergence measures between outcome
   distributions of neighboring bid profiles: the paper's KL-divergence
   *privacy leakage* (Definition 8, Figure 5) plus max-divergence (the

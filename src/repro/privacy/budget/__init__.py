@@ -7,9 +7,9 @@ subject.  This package promotes the per-run audit trail of
 :class:`~repro.obs.PrivacyLedger` to a first-class budget subsystem:
 
 * :mod:`~repro.privacy.budget.store` — :class:`BudgetStore` accounts
-  keyed by ``(tenant, principal)`` with pure-DP sequential/parallel
-  composition (the same rules as
-  :class:`~repro.privacy.composition.PrivacyAccountant`); the sharded
+  keyed by ``(tenant, principal)``, composed by the one pure-DP core
+  (:class:`~repro.privacy.composition.Composition`) and the one place a
+  budget limit is enforced; the sharded
   :class:`InMemoryBudgetStore` backend and the default
   :data:`NULL_BUDGET_STORE` (unlimited, non-recording — existing call
   sites are unchanged until a store is installed).

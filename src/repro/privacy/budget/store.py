@@ -6,11 +6,11 @@ of the per-run :class:`~repro.obs.PrivacyLedger` audit trail.  Tenants
 are campaigns or platform customers; principals are the data subjects
 (worker populations, regions) whose bids the spend is measured against.
 
-Composition follows the same pure-DP rules as
-:class:`~repro.privacy.composition.PrivacyAccountant` (sequential
-charges add, parallel charges cost only their maximum), and
-:meth:`BudgetAccount.to_accountant` replays an account into a fresh
-accountant to prove the totals agree exactly.
+Accounts compose through :class:`~repro.privacy.composition.Composition`,
+the pure-DP core the accountant and the per-run ledger share (sequential
+charges add in charge order, parallel charges cost only their maximum).
+The store is the one place a budget limit is enforced on mechanism
+draws: the ledger forwards every recorded draw here.
 
 Charges tagged ``degraded=True`` — the admission controller's fallback
 draws after a tenant's budget ran out — are tracked separately and are
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.exceptions import BudgetExceededError
-from repro.privacy.composition import PrivacyAccountant
+from repro.privacy.composition import Composition
 from repro.tolerances import EPSILON_TOL
 from repro.utils import validation
 
@@ -64,13 +64,10 @@ class BudgetAccount:
         The account key.
     limit:
         Total ε budget for the account, or ``None`` for unlimited.
-    sequential_epsilon:
-        Sum of ε over enforced sequential charges since the last renewal.
-    parallel_epsilon:
-        Max ε over enforced parallel charges since the last renewal.
-    degraded_epsilon:
-        Sequentially-composed ε of degraded fallback draws — shown by
-        the audit report, never enforced.
+    enforced, degraded:
+        Composition of the enforced charges since the last renewal, and
+        of the degraded fallback draws (shown by the audit report, never
+        enforced).
     n_charges, n_degraded:
         Charge counts (enforced / degraded) since the last renewal.
     n_renewals:
@@ -82,18 +79,32 @@ class BudgetAccount:
     tenant: str
     principal: str
     limit: float | None = None
-    sequential_epsilon: float = 0.0
-    parallel_epsilon: float = 0.0
-    degraded_epsilon: float = 0.0
+    enforced: Composition = field(default_factory=Composition, init=False)
+    degraded: Composition = field(default_factory=Composition, init=False)
     n_charges: int = 0
     n_degraded: int = 0
     n_renewals: int = 0
     epoch: int = 0
 
     @property
+    def sequential_epsilon(self) -> float:
+        """Sum of ε over enforced sequential charges since the last renewal."""
+        return self.enforced.sequential
+
+    @property
+    def parallel_epsilon(self) -> float:
+        """Max ε over enforced parallel charges since the last renewal."""
+        return self.enforced.parallel
+
+    @property
+    def degraded_epsilon(self) -> float:
+        """Sequentially-composed ε of degraded fallback draws."""
+        return self.degraded.total
+
+    @property
     def spent(self) -> float:
         """Composed enforced ε: sequential sum + parallel max (pure DP)."""
-        return self.sequential_epsilon + self.parallel_epsilon
+        return self.enforced.total
 
     @property
     def remaining(self) -> float | None:
@@ -101,19 +112,6 @@ class BudgetAccount:
         if self.limit is None:
             return None
         return max(self.limit - self.spent, 0.0)
-
-    def to_accountant(self) -> PrivacyAccountant:
-        """The account's enforced spend as a :class:`PrivacyAccountant`.
-
-        ``spent`` of the returned accountant equals :attr:`spent`
-        exactly — the parity bridge with the per-run ledger.
-        """
-        accountant = PrivacyAccountant(budget=self.limit)
-        if self.sequential_epsilon > 0.0:
-            accountant.spend(self.sequential_epsilon)
-        if self.parallel_epsilon > 0.0:
-            accountant.spend(self.parallel_epsilon, parallel=True)
-        return accountant
 
     def to_json_obj(self) -> dict:
         """The account as a plain dict (audit report / snapshots)."""
@@ -316,21 +314,17 @@ class InMemoryBudgetStore(BudgetStore):
         acct, lock = self._get_or_create(tenant, principal)
         with lock:
             if degraded:
-                acct.degraded_epsilon += float(epsilon)
+                acct.degraded.add(float(epsilon))
                 acct.n_degraded += 1
                 return acct.spent
-            if parallel:
-                acct.parallel_epsilon = max(acct.parallel_epsilon, float(epsilon))
-            else:
-                acct.sequential_epsilon += float(epsilon)
+            total = acct.enforced.add(float(epsilon), parallel)
             acct.n_charges += 1
-            total = acct.spent
-            limit = acct.limit
-        if limit is not None and total > limit + LIMIT_ATOL:
+            overspent = acct.enforced.exceeds(acct.limit)
+        if overspent:
             raise BudgetExceededError(
                 f"charging ε={epsilon:.6g} from {mechanism!r} pushes tenant "
                 f"{tenant!r} (principal {principal!r}) to composed ε "
-                f"{total:.6g}, past its budget {limit:.6g} (charge retained "
+                f"{total:.6g}, past its budget {acct.limit:.6g} (charge retained "
                 "in the account for audit)",
                 tenant=str(tenant),
                 principal=str(principal),
@@ -341,8 +335,7 @@ class InMemoryBudgetStore(BudgetStore):
     def renew(self, tenant: str, principal: str = "default", *, epoch: int | None = None) -> None:
         acct, lock = self._get_or_create(tenant, principal)
         with lock:
-            acct.sequential_epsilon = 0.0
-            acct.parallel_epsilon = 0.0
+            acct.enforced = Composition()
             acct.n_charges = 0
             acct.n_renewals += 1
             if epoch is not None:
@@ -366,18 +359,18 @@ class InMemoryBudgetStore(BudgetStore):
     def merge_snapshot(self, snapshot: Mapping) -> None:
         """Fold another store's accounts into this one.
 
-        Sequential and degraded ε add; parallel ε takes the max — the
-        same pure-DP rules a single store applies, so per-tenant worker
-        shards merged in any order compose to the serial totals.
+        Sequential and degraded ε add; parallel ε takes the max.  Shards
+        that each hold *all* of an account's charges merge, in any order,
+        to the serial totals bit for bit.  An account split across shards
+        adds in another order and matches only up to rounding: 0.1 in one
+        and 0.2, 0.3 in another merge to 0.6, not 0.6000000000000001.
         """
         for obj in snapshot.get("accounts", ()):
             acct, lock = self._get_or_create(obj["tenant"], obj["principal"])
             with lock:
-                acct.sequential_epsilon += float(obj["sequential_epsilon"])
-                acct.parallel_epsilon = max(
-                    acct.parallel_epsilon, float(obj["parallel_epsilon"])
-                )
-                acct.degraded_epsilon += float(obj["degraded_epsilon"])
+                acct.enforced.add(float(obj["sequential_epsilon"]))
+                acct.enforced.add(float(obj["parallel_epsilon"]), parallel=True)
+                acct.degraded.add(float(obj["degraded_epsilon"]))
                 acct.n_charges += int(obj["n_charges"])
                 acct.n_degraded += int(obj["n_degraded"])
                 acct.n_renewals += int(obj["n_renewals"])

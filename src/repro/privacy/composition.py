@@ -1,23 +1,70 @@
-"""Privacy-budget accounting across mechanism invocations.
+"""Pure-DP ε composition: the one core every accounting layer uses.
 
 A platform that re-runs the DP-hSRC auction every sensing round spends
-privacy budget each time it touches the same workers' bids.  The
-accountant tracks the classic composition rules for pure ε-DP:
+privacy budget each time it touches the same workers' bids.  Mechanisms
+run on the *same* data compose sequentially (total ε = Σ ε_i); on
+*disjoint* data, in parallel (only the maximum ε counts).
 
-* **sequential composition** — mechanisms run on the *same* data compose
-  additively: total ε = Σ ε_i;
-* **parallel composition** — mechanisms run on *disjoint* data cost only
-  the maximum ε.
+:class:`Composition` is the only code applying those rules and the
+overspend test, and :func:`compose` runs it over recorded entries: the
+accountant below, :class:`~repro.obs.PrivacyLedger`, the budget store
+and the trace and export layers all compose through it.  Sequential ε
+adds in input order, never via builtin ``sum()``, which is compensated
+from Python 3.12 on (0.1, 0.2, 0.3 ``sum()`` to 0.6 but add to
+0.6000000000000001), so every layer reports the same bits everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.tolerances import EPSILON_TOL
 from repro.utils import validation
 
-__all__ = ["PrivacyAccountant", "advanced_composition_epsilon"]
+__all__ = ["Composition", "PrivacyAccountant", "advanced_composition_epsilon", "compose"]
+
+
+@dataclass(slots=True)
+class Composition:
+    """The ``sequential`` sum and ``parallel`` max, updated in place.
+
+    >>> composition = Composition()
+    >>> [composition.add(eps) for eps in (0.1, 0.2, 0.3)]
+    [0.1, 0.30000000000000004, 0.6000000000000001]
+    >>> composition.add(0.5, parallel=True), composition.exceeds(1.0)
+    (1.1, True)
+    """
+
+    sequential: float = 0.0
+    parallel: float = 0.0
+
+    def add(self, epsilon: float, parallel: bool = False) -> float:
+        """Compose one draw of ``epsilon``; return the new total."""
+        if parallel:
+            if epsilon > self.parallel:
+                self.parallel = epsilon
+        else:
+            self.sequential += epsilon
+        return self.sequential + self.parallel
+
+    @property
+    def total(self) -> float:
+        """Composed ε: sequential sum + parallel max."""
+        return self.sequential + self.parallel
+
+    def exceeds(self, limit: float | None) -> bool:
+        """Whether the total overspends ``limit`` (``None`` = unlimited)."""
+        return limit is not None and self.total > limit + EPSILON_TOL
+
+
+def compose(entries: Iterable[Mapping]) -> Composition:
+    """Compose ledger entries in JSON form (``epsilon``, ``composition``;
+    a missing composition is sequential) in order, as they were live."""
+    composition = Composition()
+    for entry in entries:
+        composition.add(float(entry["epsilon"]), entry.get("composition") == "parallel")
+    return composition
 
 
 @dataclass
@@ -32,8 +79,7 @@ class PrivacyAccountant:
     """
 
     budget: float | None = None
-    _sequential_spent: float = field(default=0.0, init=False)
-    _parallel_spent: float = field(default=0.0, init=False)
+    _spent: Composition = field(default_factory=Composition, init=False)
 
     def __post_init__(self) -> None:
         if self.budget is not None:
@@ -42,7 +88,7 @@ class PrivacyAccountant:
     @property
     def spent(self) -> float:
         """Total ε consumed so far (sequential sum + parallel max)."""
-        return self._sequential_spent + self._parallel_spent
+        return self._spent.total
 
     @property
     def remaining(self) -> float | None:
@@ -68,21 +114,15 @@ class PrivacyAccountant:
             Total ε consumed after this expenditure.
         """
         validation.require_positive(epsilon, "epsilon")
-        new_sequential = self._sequential_spent
-        new_parallel = self._parallel_spent
-        if parallel:
-            new_parallel = max(new_parallel, epsilon)
-        else:
-            new_sequential += epsilon
-        new_total = new_sequential + new_parallel
-        if self.budget is not None and new_total > self.budget + EPSILON_TOL:
+        spent = Composition(self._spent.sequential, self._spent.parallel)
+        total = spent.add(float(epsilon), parallel)
+        if spent.exceeds(self.budget):
             raise ValueError(
                 f"spending ε={epsilon} would exceed the budget "
-                f"({new_total:.6g} > {self.budget:.6g})"
+                f"({total:.6g} > {self.budget:.6g})"
             )
-        self._sequential_spent = new_sequential
-        self._parallel_spent = new_parallel
-        return self.spent
+        self._spent = spent
+        return total
 
 
 def advanced_composition_epsilon(

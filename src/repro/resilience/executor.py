@@ -24,7 +24,9 @@ runs a sequence of them in two phases:
 Because the settle loop emits every ``resilience.*`` counter, retry span
 and snapshot merge, serial and pooled runs record identical metrics, and
 resumed runs replay the checkpointed snapshots of an uninterrupted one.
-Failed attempts' partial snapshots are discarded.
+A failed attempt's spans, counters and histograms are discarded, but its
+draws were already charged to the budget store, so its ledger entries
+are kept, ahead of the unit's own.
 """
 
 from __future__ import annotations
@@ -61,23 +63,24 @@ def _attempt(fn, args, index, attempt, fault_plan, collect, trace, outcomes):
     ``collect``, and applies the poison rule: a unit returning an auction
     outcome (``outcomes``) is corrupted, then rejected by
     :func:`~repro.resilience.faults.ensure_outcome_sane`; any other unit
-    has nothing to corrupt, so poison fails it before it runs.
+    has nothing to corrupt, so poison fails it before it runs.  A failed
+    attempt returns its ledger snapshot in place of the metrics snapshot.
     """
+    local = MetricsRecorder(trace=trace) if collect else None
     try:
         if fault_plan is not None:
             fault_plan.raise_if_planned(index, attempt, poison_as_error=not outcomes)
-        if collect:
-            local = MetricsRecorder(trace=trace)
+        if local is None:
+            value, snapshot = fn(*args), None
+        else:
             with use_recorder(local):
                 value = fn(*args)
             snapshot = local.snapshot()
-        else:
-            value, snapshot = fn(*args), None
         if outcomes and fault_plan is not None:
             value = ensure_outcome_sane(fault_plan.corrupt(value, index, attempt))
         return value, snapshot, None
     except Exception as exc:  # noqa: BLE001 - failures settle in the parent
-        return None, None, exc
+        return None, None if local is None else local.ledger.snapshot(), exc
 
 
 def _release_frames(error: Optional[BaseException]) -> None:
@@ -100,7 +103,7 @@ class UnitResults:
 
     ``values`` holds one result per unit (``None`` where quarantined),
     ``snapshots`` each unit's merged metrics snapshot (``None`` when not
-    collected or quarantined), ``failed`` one
+    collected; a quarantined unit's failed attempts' ledger, if any), ``failed`` one
     :class:`~repro.exceptions.InstanceExecutionError` per quarantined
     unit, and ``width`` the pool width attempt 0 ran on (``None``:
     in-process).
@@ -265,7 +268,9 @@ class ResilientExecutor:
             delays: tuple[float, ...] = ()
             if error is not None and self.retry is not None:
                 delays = self.retry.delays(retry_stream(seed))
+            drawn: list = []  # failed attempts' ledger entries
             while error is not None:
+                drawn += snapshot["entries"] if snapshot else []
                 sink.count("resilience.failures")
                 if not (is_transient(error) and attempt < len(delays)):
                     break
@@ -276,6 +281,9 @@ class ResilientExecutor:
                     self.sleep(delay)
                 value, snapshot, error = _attempt(*task(i, attempt))
             if error is not None:
+                snapshot = {"ledger": {"budget": None, "entries": drawn}} if drawn else None
+                if snapshot:
+                    sink.merge_snapshot(snapshot)
                 _release_frames(error)
                 wrapped = InstanceExecutionError(start + i, seed, error, attempts=attempt + 1)
                 if on_error == "raise":
@@ -284,8 +292,10 @@ class ResilientExecutor:
                 sink.count("resilience.quarantined")
                 failed.append(wrapped)
                 values.append(None)
-                snapshots.append(None)
+                snapshots.append(snapshot)
                 continue
+            if drawn:
+                snapshot["ledger"]["entries"][:0] = drawn
             if attempt:
                 sink.count("resilience.recovered")
             if self.checkpoint is not None:

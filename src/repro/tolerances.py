@@ -31,10 +31,8 @@ Three distinct numeric concerns live here:
   comparisons.  A composed ε total may exceed its budget by at most
   ``EPSILON_TOL`` before it counts as an overspend, so a budget spent
   exactly in several draws is not refused over summation dust.  The
-  accountant (:mod:`repro.privacy.composition`), the per-run ledger
-  (:mod:`repro.obs.ledger`) and the durable budget store
-  (:mod:`repro.privacy.budget`) all guard with it, so the layers agree
-  on the margin.
+  one overspend test (:meth:`~repro.privacy.composition.Composition.exceeds`)
+  guards with it for the accountant and the budget store.
 
 The constants are intentionally tiny compared to every quantity in the
 paper's Table I settings (prices ≥ 1, demands of order 1, grid steps of
@@ -59,8 +57,8 @@ DEMAND_TOL = 1e-9
 #: price equal to an asking price must count that worker as affordable.
 PRICE_DUST_REL = 1e-12
 
-#: Absolute overspend slack for composed-ε vs budget comparisons, shared
-#: by the accountant, the per-run ledger and the budget store.
+#: Absolute overspend slack of the one composed-ε vs budget test,
+#: :meth:`repro.privacy.composition.Composition.exceeds`.
 EPSILON_TOL = 1e-12
 
 

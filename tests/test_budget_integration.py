@@ -21,10 +21,14 @@ from repro.exceptions import BudgetExceededError
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.obs import MetricsRecorder, PrivacyLedger, use_recorder
 from repro.privacy.budget import (
+    BudgetScope,
     InMemoryBudgetStore,
     JsonlBudgetStore,
+    use_budget_scope,
     use_budget_store,
 )
+from repro.privacy.composition import compose
+from repro.resilience import FaultPlan
 
 
 class TestLedgerForwarding:
@@ -150,6 +154,51 @@ class TestMultiTenantBatch:
         assert result.failed[0].cause.tenant == "poor"
         assert result.outcomes[3] is None
         assert all(result.outcomes[i] is not None for i in (0, 1, 2))
+
+
+class TestFailedAttemptsKeepTheirDraws:
+    """A failed unit's draws were charged, so the run's ledger keeps them.
+
+    Each batch draws once per instance, in-process under the active
+    store, whatever the backend and transport.  Whether a unit fails
+    after its draw (poisoned) or at it (the charge overspends), the
+    ledger holds one entry per store charge and composes the same ε.
+    """
+
+    def _check(self, recorder, result, store):
+        account = store.account("default", "default")
+        ledgers = (recorder.ledger.snapshot(), result.metrics["ledger"])
+        for entries in (ledger["entries"] for ledger in ledgers):
+            assert len(entries) == account.n_charges == 4
+            assert compose(entries).total.hex() == account.spent.hex()
+        assert recorder.ledger.total_epsilon.hex() == account.spent.hex()
+
+    @pytest.mark.parametrize("transport", ["pickle", "shared_memory"])
+    def test_poisoned_unit_keeps_its_draw(self, transport):
+        runner = BatchAuctionRunner(
+            DPHSRCAuction(epsilon=0.5),
+            backend="process",
+            transport=transport,
+            fault_plan=FaultPlan.parse("poison@1"),
+        )
+        recorder, store = MetricsRecorder(), InMemoryBudgetStore()
+        with use_recorder(recorder), use_budget_store(store):
+            result = runner.run(seeded_auction_batch(4, n_workers=25, n_tasks=5, seed=0), seed=3)
+        assert [err.index for err in result.failed] == [1]
+        self._check(recorder, result, store)
+        assert store.spent("default") == 2.0
+
+    @pytest.mark.parametrize("transport", ["pickle", "shared_memory"])
+    def test_overspending_units_keep_their_draws(self, transport):
+        runner = BatchAuctionRunner(
+            DPHSRCAuction(epsilon=0.4), backend="process", transport=transport
+        )
+        recorder, store = MetricsRecorder(), InMemoryBudgetStore(limit=1.0)
+        with use_recorder(recorder), use_budget_scope(BudgetScope(store=store)):
+            result = runner.run(seeded_auction_batch(4, n_workers=25, n_tasks=5, seed=0), seed=3)
+        assert [err.index for err in result.failed] == [2, 3]
+        assert all(isinstance(err.cause, BudgetExceededError) for err in result.failed)
+        self._check(recorder, result, store)
 
 
 class TestSweepUnderBudget:

@@ -35,15 +35,6 @@ class TestBudgetAccountComposition:
         store.charge("t", "p", mechanism="m", epsilon=0.3, parallel=True)
         assert store.spent("t", "p") == pytest.approx(0.1 + 0.2 + 0.4)
 
-    def test_to_accountant_parity(self):
-        """An account replayed into a PrivacyAccountant agrees exactly."""
-        store = InMemoryBudgetStore(limit=10.0)
-        store.charge("t", "p", mechanism="m", epsilon=0.125)
-        store.charge("t", "p", mechanism="m", epsilon=0.25, parallel=True)
-        store.charge("t", "p", mechanism="m", epsilon=0.0625)
-        acct = store.account("t", "p")
-        assert acct.to_accountant().spent == acct.spent
-
     def test_accounts_are_keyed_by_tenant_and_principal(self):
         store = InMemoryBudgetStore()
         store.charge("a", "x", mechanism="m", epsilon=0.1)

@@ -18,6 +18,7 @@ import repro.privacy.budget.admission
 import repro.privacy.budget.context
 import repro.privacy.budget.journal
 import repro.privacy.budget.store
+import repro.privacy.composition
 import repro.utils.rng
 import repro.utils.tables
 import repro.utils.timer
@@ -35,6 +36,7 @@ MODULES = [
     repro.privacy.budget.journal,
     repro.privacy.budget.admission,
     repro.privacy.budget.context,
+    repro.privacy.composition,
 ]
 
 

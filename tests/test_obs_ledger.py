@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import BudgetExceededError, ValidationError
 from repro.obs import LedgerEntry, PrivacyLedger
-from repro.privacy.composition import PrivacyAccountant
+from repro.privacy.composition import compose
 
 
 class TestRecord:
@@ -51,42 +51,6 @@ class TestRecord:
         assert ledger.total_epsilon == 0.0
 
 
-class TestBudget:
-    def test_budget_exceeded_raises_and_retains_the_entry(self):
-        ledger = PrivacyLedger(budget=0.5)
-        ledger.record("m", epsilon=0.4, sensitivity=1.0)
-        with pytest.raises(BudgetExceededError, match="past the configured"):
-            ledger.record("m", epsilon=0.2, sensitivity=1.0)
-        # The audit trail must show the overspend.
-        assert len(ledger) == 2
-        assert ledger.total_epsilon == pytest.approx(0.6)
-        assert ledger.remaining == 0.0
-
-    def test_exact_budget_is_within(self):
-        ledger = PrivacyLedger(budget=0.5)
-        ledger.record("m", epsilon=0.5, sensitivity=1.0)
-        assert ledger.assert_within_budget() == pytest.approx(0.5)
-        assert ledger.remaining == pytest.approx(0.0)
-
-    def test_assert_within_explicit_budget(self):
-        ledger = PrivacyLedger()
-        ledger.record("m", epsilon=0.7, sensitivity=1.0)
-        assert ledger.assert_within_budget(1.0) == pytest.approx(0.7)
-        with pytest.raises(BudgetExceededError, match="exceeds the budget"):
-            ledger.assert_within_budget(0.5)
-
-    def test_assert_without_any_budget_is_an_error(self):
-        with pytest.raises(ValueError, match="no budget"):
-            PrivacyLedger().assert_within_budget()
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValidationError, match="budget"):
-            PrivacyLedger(budget=-1.0)
-
-    def test_remaining_is_none_when_unbudgeted(self):
-        assert PrivacyLedger().remaining is None
-
-
 class TestAmbientStoreForwarding:
     def test_store_overspend_retains_the_local_entry(self):
         from repro.privacy.budget import InMemoryBudgetStore, use_budget_store
@@ -116,30 +80,12 @@ class TestAmbientStoreForwarding:
         assert store.spent("acme") == pytest.approx(0.6)
 
 
-class TestAccountantBridge:
-    def test_composition_matches_privacy_accountant(self):
-        """The ledger and the accountant apply identical pure-DP rules."""
-        ledger = PrivacyLedger()
-        ledger.record("a", epsilon=0.1, sensitivity=1.0)
-        ledger.record("b", epsilon=0.25, sensitivity=2.0, parallel=True)
-        ledger.record("c", epsilon=0.05, sensitivity=1.0)
-        ledger.record("d", epsilon=0.4, sensitivity=3.0, parallel=True)
-        accountant = ledger.to_accountant()
-        assert isinstance(accountant, PrivacyAccountant)
-        assert accountant.spent == pytest.approx(ledger.total_epsilon)
-
-    def test_bridge_carries_the_budget(self):
-        ledger = PrivacyLedger(budget=2.0)
-        ledger.record("m", epsilon=0.5, sensitivity=1.0)
-        assert ledger.to_accountant().budget == 2.0
-
-
 class TestSnapshotMerge:
     def test_snapshot_round_trips(self):
-        src = PrivacyLedger(budget=5.0)
+        src = PrivacyLedger()
         src.record("a", epsilon=0.1, sensitivity=1.0, n_workers=10)
         src.record("b", epsilon=0.2, sensitivity=2.0, parallel=True)
-        dst = PrivacyLedger(budget=5.0)
+        dst = PrivacyLedger()
         dst.merge_snapshot(src.snapshot())
         assert dst.snapshot() == src.snapshot()
         assert dst.total_epsilon == pytest.approx(src.total_epsilon)
@@ -153,16 +99,55 @@ class TestSnapshotMerge:
         assert [e.mechanism for e in sink.entries] == ["first", "second"]
         assert sink.total_epsilon == pytest.approx(0.2)
 
-    def test_merge_keeps_the_sinks_budget(self):
-        sink = PrivacyLedger(budget=1.0)
-        part = PrivacyLedger(budget=99.0)
-        part.record("m", epsilon=0.5, sensitivity=1.0)
-        sink.merge(part)
-        assert sink.budget == 1.0
-
     def test_discarding_ledger_ignores_merges(self):
         part = PrivacyLedger()
         part.record("m", epsilon=0.5, sensitivity=1.0)
         sink = PrivacyLedger(keep=False)
         sink.merge(part)
         assert len(sink) == 0
+
+
+class _Unreadable(list):
+    """An entries list that refuses iteration: summing it would raise."""
+
+    def __iter__(self):
+        raise AssertionError("the ledger re-read its entries")
+
+
+def _totals(ledger: PrivacyLedger) -> tuple:
+    return ledger.sequential_epsilon, ledger.parallel_epsilon, ledger.total_epsilon
+
+
+class TestRunningComposition:
+    """The ledger's totals are a running composition, never a re-sum."""
+
+    DRAWS = [(0.1, False), (0.7, True), (0.2, False), (0.3, False), (0.4, True)]
+
+    def test_record_merge_and_totals_never_iterate_the_entries(self):
+        part = PrivacyLedger()
+        for eps, parallel in self.DRAWS:
+            part.record("m", epsilon=eps, sensitivity=1.0, parallel=parallel)
+        ledger = PrivacyLedger()
+        ledger.entries = _Unreadable()
+        for eps, parallel in self.DRAWS:
+            ledger.record("m", epsilon=eps, sensitivity=1.0, parallel=parallel)
+        ledger.merge_snapshot(part.snapshot())
+        assert len(ledger) == 2 * len(self.DRAWS)
+        expected = PrivacyLedger()
+        for _ in range(2):
+            expected.merge_snapshot(part.snapshot())
+        assert _totals(ledger) == _totals(expected)
+
+    def test_totals_equal_compose_of_the_entries_bitwise(self):
+        ledger = PrivacyLedger()
+        for eps, parallel in self.DRAWS:
+            ledger.record("m", epsilon=eps, sensitivity=1.0, parallel=parallel)
+        composed = compose(ledger.snapshot()["entries"])
+        assert _totals(ledger) == (composed.sequential, composed.parallel, composed.total)
+        # In-order addition, not a compensated sum(): 0.1 + 0.2 + 0.3.
+        assert ledger.sequential_epsilon == (0.1 + 0.2) + 0.3
+
+    def test_snapshot_budget_is_always_null(self):
+        ledger = PrivacyLedger()
+        ledger.record("m", epsilon=0.5, sensitivity=1.0)
+        assert ledger.snapshot()["budget"] is None

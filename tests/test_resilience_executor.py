@@ -182,3 +182,52 @@ def test_resume_replays_the_checkpoint(tmp_path, width):
 def test_unknown_error_policy_is_rejected():
     with pytest.raises(ValueError, match="on_error"):
         ResilientExecutor().run_units(_unit, [], [], on_error="ignore")
+
+
+class _DrawThenTimeOut:
+    """Records one ledger draw per call; the first call then times out."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, epsilon):
+        current_recorder().ledger.record("m", epsilon=epsilon, sensitivity=1.0, call=self.calls)
+        self.calls += 1
+        if self.calls == 1:
+            raise SimulatedTimeoutError("timed out after the draw")
+        return epsilon
+
+
+def test_failed_attempt_draws_merge_ahead_and_are_checkpointed(tmp_path):
+    """A recovered unit keeps the draw its failed attempt made, ahead of its
+    own, in the sink and in the checkpoint a resumed run replays."""
+    seeds = _seeds()[:1]
+    checkpoint = SweepCheckpoint(tmp_path / "draws.jsonl", context={"test": "draws"})
+    recorder = MetricsRecorder()
+    done = ResilientExecutor(
+        retry=RETRY, checkpoint=checkpoint, recorder=recorder, sleep=lambda _delay: None
+    ).run_units(_DrawThenTimeOut(), [(0.1,)], seeds)
+    assert done.values == (0.1,)
+    assert [e.attrs["call"] for e in recorder.ledger.entries] == [0, 1]
+    assert done.snapshots[0]["ledger"] == recorder.ledger.snapshot()
+    # The failed attempt's counters and spans stay discarded.
+    assert recorder.counters["resilience.retries"] == 1
+
+    resumed = MetricsRecorder()
+    ResilientExecutor(checkpoint=checkpoint, recorder=resumed).run_units(
+        _DrawThenTimeOut(), [(0.1,)], seeds
+    )
+    assert resumed.counters["resilience.checkpoint.hits"] == 1
+    assert resumed.ledger.snapshot() == recorder.ledger.snapshot()
+
+
+def test_quarantined_unit_keeps_only_its_draws():
+    """A unit that never recovers contributes its ledger and nothing else."""
+    recorder = MetricsRecorder()
+    done = ResilientExecutor(recorder=recorder).run_units(
+        _DrawThenTimeOut(), [(0.25,)], _seeds()[:1], on_error="quarantine"
+    )
+    assert done.values == (None,)
+    assert set(done.snapshots[0]) == {"ledger"}
+    assert recorder.ledger.total_epsilon == 0.25
+    assert not recorder.spans
