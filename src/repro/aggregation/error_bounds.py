@@ -36,9 +36,11 @@ def quality_matrix(skills: np.ndarray) -> np.ndarray:
     quality 1, because an always-wrong binary labeler is as informative as
     an always-right one once its weight flips sign.
     """
-    skills = validation.as_float_array(skills, "skills")
-    validation.require_in_unit_interval(skills, "skills")
-    return (2.0 * skills - 1.0) ** 2
+    quality = validation.as_float_array(skills, "skills")  # a fresh copy
+    validation.require_in_unit_interval(quality, "skills")
+    quality *= 2.0
+    quality -= 1.0
+    return np.square(quality, out=quality)
 
 
 def required_coverage(delta: float) -> float:

@@ -12,6 +12,21 @@ An :class:`AuctionInstance` bundles together everything a mechanism needs:
 * the public cost bounds ``c_min``/``c_max`` that parameterize the
   exponential mechanism and the truthfulness gap ``γ = ε·Δc``.
 
+The bids are CSR rows (:mod:`repro.auction.bids`), and so is the gain
+matrix every cover computation reads: :attr:`AuctionInstance.sparse_quality`
+keeps the effective quality at the bundle entries only, as a
+:class:`~repro.coverage.sparse.SparseCoverage`.  Feasibility tests use its
+column sums (:meth:`AuctionInstance.coverage`).  The dense ``(N, K)``
+views :attr:`~AuctionInstance.bundle_mask` and
+:attr:`~AuctionInstance.effective_quality` are built only when something
+asks for them.
+
+Each input is validated once, where it enters: the main constructor
+checks a caller's arrays, :meth:`AuctionInstance.from_skills` checks the
+skills, thresholds and grid it derives them from, and both then hand the
+validated arrays to one trusted constructor, which the shared-memory
+transport also uses for arrays that come from a validated instance.
+
 The instance is immutable.  The neighboring-profile operation needed by
 the privacy analysis (:meth:`AuctionInstance.replace_bid`) returns a new
 instance sharing the task-side data.
@@ -21,13 +36,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.auction.bids import Bid, BidProfile
 from repro.exceptions import ValidationError
+from repro.tolerances import inflate_prices
 from repro.utils import validation
+
+if TYPE_CHECKING:
+    from repro.coverage.sparse import SparseCoverage
 
 __all__ = ["AuctionInstance"]
 
@@ -72,48 +91,35 @@ class AuctionInstance:
         quality = validation.as_float_array(self.quality, "quality", ndim=2)
         demands = validation.as_float_array(self.demands, "demands", ndim=1)
         price_grid = validation.as_sorted_unique(self.price_grid, "price_grid")
-
-        n_workers, n_tasks = quality.shape
-        if len(self.bids) != n_workers:
-            raise ValidationError(
-                f"bid profile has {len(self.bids)} workers but quality has "
-                f"{n_workers} rows"
-            )
-        if demands.shape[0] != n_tasks:
-            raise ValidationError(
-                f"demands has length {demands.shape[0]} but quality has "
-                f"{n_tasks} columns"
-            )
-        validation.require_in_unit_interval(quality, "quality")
-        if demands.size and np.min(demands) < 0:
-            raise ValidationError("demands must be non-negative")
-        if price_grid.size == 0:
-            raise ValidationError("price_grid must not be empty")
-        validation.require_nonnegative(self.c_min, "c_min")
-        validation.require_positive(self.c_max, "c_max")
-        if self.c_min > self.c_max:
-            raise ValidationError(
-                f"c_min ({self.c_min}) must not exceed c_max ({self.c_max})"
-            )
-        for i, bid in enumerate(self.bids):
-            if max(bid.bundle) >= n_tasks:
-                raise ValidationError(
-                    f"bid {i} names task {max(bid.bundle)} but the instance "
-                    f"has only {n_tasks} tasks"
-                )
-
-        quality.setflags(write=False)
-        demands.setflags(write=False)
-        price_grid.setflags(write=False)
-        object.__setattr__(self, "quality", quality)
-        object.__setattr__(self, "demands", demands)
-        object.__setattr__(self, "price_grid", price_grid)
-        object.__setattr__(self, "c_min", float(self.c_min))
-        object.__setattr__(self, "c_max", float(self.c_max))
+        _check_market(
+            self.bids, quality.shape, demands, price_grid, self.c_min, self.c_max,
+            quality=quality,
+        )
+        _set_fields(self, self.bids, quality, demands, price_grid, self.c_min, self.c_max)
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def _from_validated(
+        cls,
+        bids: BidProfile,
+        quality: np.ndarray,
+        demands: np.ndarray,
+        price_grid: np.ndarray,
+        c_min: float,
+        c_max: float,
+    ) -> "AuctionInstance":
+        """The one trusted constructor: wrap validated arrays, no copy or check.
+
+        Used by :meth:`from_skills` and :meth:`replace_bid` after their own
+        checks, and by :mod:`repro.bench.shm` for arrays packed from a
+        validated instance (read-only views into a shared segment).
+        """
+        instance = object.__new__(cls)
+        _set_fields(instance, bids, quality, demands, price_grid, c_min, c_max)
+        return instance
 
     @classmethod
     def from_skills(
@@ -128,7 +134,9 @@ class AuctionInstance:
         """Build an instance from raw skill levels ``θ`` and thresholds ``δ``.
 
         Applies the error-bound-constraint transformation of Lemma 1:
-        ``q_ij = (2 θ_ij − 1)²`` and ``Q_j = 2 ln(1/δ_j)``.
+        ``q_ij = (2 θ_ij − 1)²`` and ``Q_j = 2 ln(1/δ_j)``.  The skills are
+        checked once; the quality derived from them lies in ``[0, 1]`` by
+        construction and is not checked again.
 
         Parameters
         ----------
@@ -141,18 +149,17 @@ class AuctionInstance:
         price_grid, c_min, c_max:
             As for the main constructor.
         """
-        from repro.aggregation.error_bounds import quality_matrix, coverage_demands
+        from repro.aggregation.error_bounds import coverage_demands, quality_matrix
 
-        skills = validation.as_float_array(skills, "skills", ndim=2)
-        validation.require_in_unit_interval(skills, "skills")
-        return cls(
-            bids=bids,
-            quality=quality_matrix(skills),
-            demands=coverage_demands(error_thresholds),
-            price_grid=np.asarray(list(price_grid), dtype=float),
-            c_min=c_min,
-            c_max=c_max,
+        if np.ndim(skills) != 2:
+            raise ValidationError(f"skills must be 2-dimensional, got ndim={np.ndim(skills)}")
+        quality = quality_matrix(skills)
+        demands = coverage_demands(error_thresholds)
+        grid = validation.as_sorted_unique(
+            np.asarray(list(price_grid), dtype=float), "price_grid"
         )
+        _check_market(bids, quality.shape, demands, grid, c_min, c_max)
+        return cls._from_validated(bids, quality, demands, grid, c_min, c_max)
 
     # ------------------------------------------------------------------
     # Derived views
@@ -170,10 +177,44 @@ class AuctionInstance:
 
     @cached_property
     def prices(self) -> np.ndarray:
-        """Vector of asking prices ``(ρ_1, ..., ρ_N)``."""
-        prices = self.bids.prices
-        prices.setflags(write=False)
-        return prices
+        """Vector of asking prices ``(ρ_1, ..., ρ_N)`` (read-only)."""
+        return self.bids._prices
+
+    @cached_property
+    def sparse_quality(self) -> SparseCoverage:
+        """The effective quality at the bundle entries, in CSR form.
+
+        Entry ``(i, j)`` is stored for task ``j`` in worker ``i``'s bundle
+        with ``q_ij > 0``; explicit zeros (skill exactly 0.5) are dropped.
+        Equal, array for array, to
+        ``SparseCoverage.from_dense(effective_quality, demands)``.  This
+        is the gain matrix the cover kernels receive.
+        """
+        # Imported here: loading repro.coverage reaches back into this layer.
+        from repro.coverage.sparse import SparseCoverage
+
+        indptr, indices = self.bids.indptr, self.bids.indices
+        rows = np.repeat(np.arange(self.n_workers), np.diff(indptr))
+        data = self.quality[rows, indices]
+        keep = data > 0.0
+        counts = np.bincount(rows[keep], minlength=self.n_workers)
+        return SparseCoverage(
+            indptr=np.concatenate([[0], np.cumsum(counts)]),
+            indices=indices[keep],
+            data=data[keep],
+            demands=self.demands,
+        )
+
+    def coverage(self, rows=None) -> np.ndarray:
+        """``(K,)`` quality coverage ``Σ_{i ∈ rows} q_ij`` over bundle entries.
+
+        ``rows`` is ``None`` (every worker), a boolean ``(N,)`` mask or an
+        array of worker indices.  Bitwise equal to
+        ``effective_quality[rows].sum(axis=0)`` (see
+        :meth:`~repro.coverage.sparse.SparseCoverage.column_sums`), without
+        the dense matrix.
+        """
+        return self.sparse_quality.column_sums(rows)
 
     @cached_property
     def bundle_mask(self) -> np.ndarray:
@@ -186,8 +227,9 @@ class AuctionInstance:
     def effective_quality(self) -> np.ndarray:
         """``q`` zeroed outside bundles: a worker only covers tasks she bids.
 
-        This is the gain matrix used by every covering computation; task
-        columns a worker did not bid contribute exactly zero coverage.
+        The dense form of :attr:`sparse_quality`, built on first use (the
+        dense cover kernel and the dense analyses read it); task columns
+        a worker did not bid contribute exactly zero coverage.
         """
         eff = np.where(self.bundle_mask, self.quality, 0.0)
         eff.setflags(write=False)
@@ -197,9 +239,11 @@ class AuctionInstance:
         """Boolean ``(N,)``: workers whose asking price is at most ``price``.
 
         This is the candidate set ``N' = {w_i : ρ_i ≤ p}`` of the TPM
-        problem.
+        problem.  The comparison carries the ``PRICE_DUST_REL`` guard
+        (:func:`~repro.tolerances.inflate_prices`), so feasibility and
+        price grouping agree on who can afford a grid price.
         """
-        return self.prices <= price + 0.0
+        return self.prices <= inflate_prices(price)
 
     # ------------------------------------------------------------------
     # Neighboring instances (for privacy / truthfulness analysis)
@@ -210,17 +254,52 @@ class AuctionInstance:
 
         All task-side data (quality, demands, grid, cost bounds) is shared;
         only the bid profile changes, matching the neighboring relation of
-        Definition 7.
+        Definition 7.  Only the new bid is checked.
         """
-        return AuctionInstance(
-            bids=self.bids.replace(worker, bid),
-            quality=self.quality,
-            demands=self.demands,
-            price_grid=self.price_grid,
-            c_min=self.c_min,
-            c_max=self.c_max,
+        bids = self.bids.replace(worker, bid)
+        bids._check_tasks(self.n_tasks)
+        return AuctionInstance._from_validated(
+            bids, self.quality, self.demands, self.price_grid, self.c_min, self.c_max
         )
 
     def total_demand(self) -> float:
         """Sum of coverage demands ``Σ_j Q_j`` (used by Lemma 2's ``m``)."""
         return float(np.sum(self.demands))
+
+
+def _check_market(bids, shape, demands, price_grid, c_min, c_max, *, quality=None) -> None:
+    """Cross-check the parts of an instance; ``quality``, if given, too."""
+    n_workers, n_tasks = shape
+    if len(bids) != n_workers:
+        raise ValidationError(
+            f"bid profile has {len(bids)} workers but quality has {n_workers} rows"
+        )
+    if demands.shape[0] != n_tasks:
+        raise ValidationError(
+            f"demands has length {demands.shape[0]} but quality has {n_tasks} columns"
+        )
+    if quality is not None:
+        validation.require_in_unit_interval(quality, "quality")
+    if demands.size and np.min(demands) < 0:
+        raise ValidationError("demands must be non-negative")
+    if price_grid.size == 0:
+        raise ValidationError("price_grid must not be empty")
+    validation.require_nonnegative(c_min, "c_min")
+    validation.require_positive(c_max, "c_max")
+    if c_min > c_max:
+        raise ValidationError(f"c_min ({c_min}) must not exceed c_max ({c_max})")
+    bids._check_tasks(n_tasks)
+
+
+def _set_fields(instance, bids, quality, demands, price_grid, c_min, c_max) -> None:
+    for arr in (quality, demands, price_grid):
+        arr.setflags(write=False)
+    for name, value in (
+        ("bids", bids),
+        ("quality", quality),
+        ("demands", demands),
+        ("price_grid", price_grid),
+        ("c_min", float(c_min)),
+        ("c_max", float(c_max)),
+    ):
+        object.__setattr__(instance, name, value)

@@ -12,11 +12,15 @@ segment once per batch, and rebuild each instance from **read-only
 NumPy views into the segment** — no array copy, no array pickling.
 
 The rebuilt instances are value-faithful: every float crosses the
-boundary as raw IEEE bits (a straight ``memcpy``), bundles round-trip
-through an int64 CSR encoding, and the trusted constructor path
-reattaches the views without re-copying.  The batch runner's
-serial==process determinism contract therefore survives the transport
-swap, which ``tests/test_bench_shm.py`` pins.
+boundary as raw IEEE bits (a straight ``memcpy``), and the bid profile
+travels as its own CSR arrays (``indptr``, task ``indices``, prices).  A
+worker wraps the segment views in a profile and an instance through the
+trusted constructors (``BidProfile._from_validated``,
+``AuctionInstance._from_validated``): the values came from a validated
+instance, so nothing is copied or checked again and no :class:`Bid`
+object is built.  The batch runner's serial==process determinism
+contract therefore survives the transport swap, which
+``tests/test_bench_shm.py`` pins.
 
 Lifecycle: the parent (the :class:`~repro.bench.batch.BatchAuctionRunner`)
 owns the segment — it creates it before dispatch and closes *and
@@ -39,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.auction.bids import Bid, BidProfile
+from repro.auction.bids import BidProfile
 from repro.auction.instance import AuctionInstance
 
 __all__ = [
@@ -81,42 +85,13 @@ def list_batch_segments(prefix: str = SEGMENT_PREFIX) -> tuple[str, ...]:
     return tuple(sorted(p.name for p in root.iterdir() if p.name.startswith(prefix)))
 
 
-def _trusted_instance(
-    bids: BidProfile,
-    quality: np.ndarray,
-    demands: np.ndarray,
-    price_grid: np.ndarray,
-    prices: np.ndarray,
-    c_min: float,
-    c_max: float,
-) -> AuctionInstance:
-    """Reattach already-validated arrays without the copying constructor.
-
-    ``AuctionInstance.__post_init__`` defensively copies every array
-    (via ``as_float_array``), which would defeat the zero-copy layout.
-    The packed values came *from* a validated instance and round-trip
-    bit-exactly, so the views are reattached directly; they are read-only
-    slices of the segment, preserving the instance's immutability.
-    """
-    instance = object.__new__(AuctionInstance)
-    object.__setattr__(instance, "bids", bids)
-    object.__setattr__(instance, "quality", quality)
-    object.__setattr__(instance, "demands", demands)
-    object.__setattr__(instance, "price_grid", price_grid)
-    object.__setattr__(instance, "c_min", float(c_min))
-    object.__setattr__(instance, "c_max", float(c_max))
-    # Pre-seed the cached property so .prices is also a zero-copy view.
-    instance.__dict__["prices"] = prices
-    return instance
-
-
 class ColumnarBatch:
     """A batch of instances in the columnar directory/pool layout.
 
     ``meta`` is the per-instance directory (:data:`META_DTYPE`);
     ``floats`` holds each instance's ``quality`` (row-major), ``demands``,
-    ``price_grid`` and ``prices`` back to back; ``ints`` holds each
-    instance's bundle CSR (``indptr`` then column indices).  ``owner``
+    ``price_grid`` and bid prices back to back; ``ints`` holds each
+    instance's bundle CSR (``indptr`` then task indices).  ``owner``
     (if any) is the object keeping the underlying buffer alive — the
     shared-memory segment for attached batches.
     """
@@ -154,22 +129,12 @@ class ColumnarBatch:
         prices = self.floats[fo : fo + n]
 
         indptr = self.ints[io : io + n + 1]
-        columns = self.ints[io + n + 1 : io + n + 1 + nnz]
-
-        bids = []
-        for w in range(n):
-            bid = object.__new__(Bid)
-            object.__setattr__(
-                bid, "bundle", frozenset(columns[indptr[w] : indptr[w + 1]].tolist())
-            )
-            object.__setattr__(bid, "price", float(prices[w]))
-            bids.append(bid)
-        return _trusted_instance(
-            bids=BidProfile(bids),
+        tasks = self.ints[io + n + 1 : io + n + 1 + nnz]
+        return AuctionInstance._from_validated(
+            bids=BidProfile._from_validated(indptr, tasks, prices),
             quality=quality,
             demands=demands,
             price_grid=price_grid,
-            prices=prices,
             c_min=float(m["c_min"]),
             c_max=float(m["c_max"]),
         )
@@ -179,45 +144,33 @@ def pack_instances(instances: Sequence[AuctionInstance]) -> ColumnarBatch:
     """Pack a batch into fresh (non-shared) columnar pools."""
     n_batch = len(instances)
     meta = np.zeros(n_batch, dtype=META_DTYPE)
-    csr: list[tuple[np.ndarray, np.ndarray]] = []
     n_floats = 0
     n_ints = 0
     for idx, inst in enumerate(instances):
-        n, k = inst.n_workers, inst.n_tasks
-        cols = np.nonzero(inst.bundle_mask)[1]
-        counts = inst.bundle_mask.sum(axis=1)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        csr.append((indptr, cols.astype(np.int64)))
+        n, k, nnz = inst.n_workers, inst.n_tasks, inst.bids.indices.size
         meta[idx] = (
             n,
             k,
             inst.price_grid.size,
-            cols.size,
+            nnz,
             n_floats,
             n_ints,
             inst.c_min,
             inst.c_max,
         )
         n_floats += n * k + k + inst.price_grid.size + n
-        n_ints += (n + 1) + cols.size
+        n_ints += (n + 1) + nnz
     floats = np.empty(n_floats, dtype=np.float64)
     ints = np.empty(n_ints, dtype=np.int64)
     for idx, inst in enumerate(instances):
-        n, k = inst.n_workers, inst.n_tasks
         fo = int(meta[idx]["float_offset"])
-        io = int(meta[idx]["int_offset"])
-        for chunk in (
-            inst.quality.ravel(),
-            inst.demands,
-            inst.price_grid,
-            inst.prices,
-        ):
+        for chunk in (inst.quality.ravel(), inst.demands, inst.price_grid, inst.prices):
             floats[fo : fo + chunk.size] = chunk
             fo += chunk.size
-        indptr, cols = csr[idx]
-        ints[io : io + indptr.size] = indptr
-        io += indptr.size
-        ints[io : io + cols.size] = cols
+        io = int(meta[idx]["int_offset"])
+        for chunk in (inst.bids.indptr, inst.bids.indices):
+            ints[io : io + chunk.size] = chunk
+            io += chunk.size
     return ColumnarBatch(meta=meta, floats=floats, ints=ints)
 
 

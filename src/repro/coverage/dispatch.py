@@ -67,11 +67,17 @@ def use_lazy_kernel(problem: CoverProblem | SparseCoverage) -> bool:
     """
     if isinstance(problem, SparseCoverage):
         return True
-    n = problem.n_items
-    if n < AUTO_SPARSE_MIN_ITEMS:
+    return _lazy_pays(
+        problem.n_items, problem.n_constraints, int(np.count_nonzero(problem.gains))
+    )
+
+
+def _lazy_pays(n_items: int, n_constraints: int, nnz: int) -> bool:
+    """The size/density rule on a shape and its count of nonzero gains."""
+    if n_items < AUTO_SPARSE_MIN_ITEMS:
         return False
-    cells = n * problem.n_constraints
-    density = np.count_nonzero(problem.gains) / cells if cells else 0.0
+    cells = n_items * n_constraints
+    density = nnz / cells if cells else 0.0
     return density <= AUTO_SPARSE_MAX_DENSITY
 
 
@@ -111,7 +117,7 @@ def resolve_cover_solver(spec: Union[str, Callable]) -> Callable:
 
 
 def shared_cover_state(
-    cover_solver: Callable, problem: CoverProblem
+    cover_solver: Callable, sparse: SparseCoverage
 ) -> Union[GreedyState, LazyGreedyState, None]:
     """A resumable state for solvers that support budget-masked reuse.
 
@@ -123,13 +129,19 @@ def shared_cover_state(
     advancing all groups in lockstep, the lazy one from its initial
     scoring; for foreign solvers it returns ``None`` and the caller falls
     back to per-group sub-problems.
+
+    ``sparse`` is an instance's gain matrix in CSR form.  The lazy state
+    takes it as it is; the dense state gets it densified, which is the
+    only place a sweep builds the ``(N, K)`` matrix.  ``"auto"`` applies
+    :func:`use_lazy_kernel`'s size/density rule to the CSR's ``nnz``
+    (the dense matrix's nonzero count), so it picks the kernel the dense
+    problem would get.
     """
-    if cover_solver is greedy_cover:
-        return GreedyState(problem)
-    if cover_solver is lazy_sparse_greedy_cover:
-        return LazyGreedyState(problem)
     if cover_solver is auto_cover_solver:
-        if use_lazy_kernel(problem):
-            return LazyGreedyState(problem)
-        return GreedyState(problem)
+        lazy = _lazy_pays(sparse.n_items, sparse.n_constraints, sparse.nnz)
+        cover_solver = lazy_sparse_greedy_cover if lazy else greedy_cover
+    if cover_solver is greedy_cover:
+        return GreedyState(sparse.to_problem())
+    if cover_solver is lazy_sparse_greedy_cover:
+        return LazyGreedyState(sparse)
     return None

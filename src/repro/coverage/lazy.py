@@ -169,15 +169,11 @@ class LazyGreedyState:
         ``min(_SCORE_BLOCK, rows.size)`` rows and is left zeroed.
         """
         sparse = self.sparse
-        indptr, indices, data = sparse.indptr, sparse.indices, sparse.data
+        indices, data = sparse.indices, sparse.data
         scores = np.empty(rows.size, dtype=np.float64)
         for start in range(0, rows.size, _SCORE_BLOCK):
             chunk = rows[start : start + _SCORE_BLOCK]
-            lo = indptr[chunk]
-            counts = indptr[chunk + 1] - lo
-            local = np.repeat(np.arange(chunk.size), counts)
-            # Each stored entry's position: its row's start plus its rank.
-            pos = np.arange(local.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            local, pos = sparse.row_entries(chunk)
             cols = indices[pos]
             dense = block[: chunk.size]
             dense[local, cols] = np.minimum(data[pos], residual[cols])

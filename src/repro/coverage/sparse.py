@@ -75,9 +75,10 @@ class SparseCoverage:
             if indices.min() < 0 or indices.max() >= demands.size:
                 raise ValidationError("column index out of range for demands")
             # Strictly increasing columns within each row (no duplicates).
-            interior = np.setdiff1d(indptr[1:-1], [0, indices.size])
+            starts = indptr[1:-1]
+            starts = starts[(starts > 0) & (starts < indices.size)]
             jumps = np.diff(indices)
-            jumps[interior - 1] = 1  # row boundaries may reset
+            jumps[starts - 1] = 1  # row boundaries may reset
             if np.any(jumps <= 0):
                 raise ValidationError(
                     "indices must be strictly increasing within each row"
@@ -133,6 +134,41 @@ class SparseCoverage:
         """Row ``i``'s ``(columns, gains)`` as read-only views."""
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         return self.indices[lo:hi], self.data[lo:hi]
+
+    def row_entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries of ``rows`` (item ids), row after row.
+
+        Returns ``(local, pos)``: entry ``e`` sits at ``indices[pos[e]]``
+        / ``data[pos[e]]`` and belongs to ``rows[local[e]]``.
+        """
+        lo = self.indptr[rows]
+        counts = self.indptr[rows + 1] - lo
+        local = np.repeat(np.arange(rows.size), counts)
+        # Each entry's position: its row's start plus its rank in the row.
+        pos = np.arange(local.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return local, pos
+
+    def column_sums(self, rows=None) -> np.ndarray:
+        """Per-column gain totals over ``rows``, bitwise the dense sums.
+
+        ``rows`` is ``None`` (every item), a boolean ``(n_items,)`` mask or
+        an array of item ids; the result equals
+        ``to_problem().gains[rows].sum(axis=0)`` bit for bit.  NumPy adds
+        the rows of an ``(m, K)`` array in order when ``K >= 2``, which
+        ``bincount`` reproduces entry by entry (an absent entry adds
+        ``0.0``, which leaves a non-negative total unchanged).  An
+        ``(m, 1)`` array is summed pairwise instead, so at ``K == 1`` the
+        selected column is densified and summed the same way.
+        """
+        ids = np.arange(self.n_items) if rows is None else np.arange(self.n_items)[rows]
+        local, pos = self.row_entries(ids)
+        if self.n_constraints == 1:
+            column = np.zeros(ids.size)
+            column[local] = self.data[pos]
+            return np.array([column.sum()])
+        return np.bincount(
+            self.indices[pos], weights=self.data[pos], minlength=self.n_constraints
+        )
 
     # ------------------------------------------------------------------
     # conversions

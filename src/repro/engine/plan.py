@@ -117,8 +117,10 @@ def build_plan(
     auto-dispatching default), the groups are solved as budget-masked
     restrictions of the full-instance problem by one ``solve_chain``
     call on one shared state
-    (:func:`~repro.coverage.dispatch.shared_cover_state`) — no per-group
-    gain-matrix slice.  The groups come in ascending price order, so
+    (:func:`~repro.coverage.dispatch.shared_cover_state`, built from the
+    instance's CSR gain matrix
+    :attr:`~repro.auction.instance.AuctionInstance.sparse_quality`) — no
+    per-group gain-matrix slice.  The groups come in ascending price order, so
     each mask is a superset of the last: the dense state advances the
     nested groups in lockstep, each resuming from the previous group's
     greedy trajectory, and the CELF state solves them one by one from
@@ -142,10 +144,7 @@ def build_plan(
     else:
         prices, groups = grouping
 
-    state = shared_cover_state(
-        cover_solver,
-        CoverProblem(gains=instance.effective_quality, demands=instance.demands),
-    )
+    state = shared_cover_state(cover_solver, instance.sparse_quality)
 
     with recorder.span(
         "greedy_group",

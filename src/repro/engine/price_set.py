@@ -33,9 +33,12 @@ __all__ = ["feasible_price_set", "PriceGroup", "group_prices_by_candidates"]
 
 
 def _coverable_with(instance: AuctionInstance, price: float) -> bool:
-    """Whether workers asking ≤ ``price`` can satisfy all demands."""
-    affordable = instance.affordable_mask(price)
-    coverage = instance.effective_quality[affordable].sum(axis=0)
+    """Whether workers asking ≤ ``price`` can satisfy all demands.
+
+    Sums the affordable rows of the instance's CSR gain matrix; no dense
+    row copy.
+    """
+    coverage = instance.coverage(instance.affordable_mask(price))
     return meets_demand(coverage, instance.demands)
 
 
@@ -126,7 +129,8 @@ def group_prices_by_candidates(
     sorted_asking = asking[order]
     # counts[k] = |{i : ρ_i ≤ prices[k]}| — grows (weakly) along the grid.
     # Guard float dust: a grid price equal to an asking price must include
-    # that worker, hence the tiny relative inflation.
+    # that worker, hence the tiny relative inflation (the same predicate
+    # as ``AuctionInstance.affordable_mask``, which feasibility uses).
     counts = np.searchsorted(sorted_asking, inflate_prices(prices), side="right")
 
     if len(prices) and counts[0] == counts[-1]:

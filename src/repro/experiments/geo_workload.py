@@ -27,7 +27,7 @@ from repro.exceptions import InfeasibleError
 from repro.experiments.runner import ExperimentResult
 from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
-from repro.tolerances import DEMAND_TOL
+from repro.tolerances import meets_demand
 from repro.utils.rng import ensure_rng
 from repro.workloads.geo import GeoCityConfig, generate_geo_market
 
@@ -85,8 +85,7 @@ def run(
             uniform_pmf = uniform_base_pmf = None
             for _ in range(20):
                 control = _uniform_rebundle(market.instance, rng)
-                coverage = control.effective_quality.sum(axis=0)
-                if np.all(coverage >= control.demands - DEMAND_TOL):
+                if meets_demand(control.coverage(), control.demands):
                     uniform_pmf = dp.price_pmf(control)
                     uniform_base_pmf = base.price_pmf(control)
                     break

@@ -19,10 +19,12 @@ from repro.aggregation.weighted import weighted_aggregate
 from repro.auction.instance import AuctionInstance
 from repro.auction.mechanism import Mechanism
 from repro.auction.outcome import AuctionOutcome
+from repro.exceptions import ValidationError
 from repro.mcs.sensing import assignment_mask, collect_labels
 from repro.mcs.tasks import TaskSet
 from repro.mcs.workers import WorkerPool
 from repro.tolerances import DEMAND_TOL
+from repro.utils import validation
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Platform", "SensingRound"]
@@ -117,16 +119,30 @@ class Platform:
         auction_rng, sensing_rng = rng.spawn(2)
 
         outcome = self.mechanism.run(instance, seed=auction_rng)
-        assignments = assignment_mask(instance.bundle_mask, outcome.winners)
+        winners = outcome.winners
+        assignments = assignment_mask(instance.bundle_mask, winners)
         labels = collect_labels(
             pool.skills, tasks.true_labels, assignments, seed=sensing_rng
         )
         if recorded_skills is None:
-            recorded_skills = pool.skills
-        aggregated = weighted_aggregate(labels, recorded_skills)
+            recorded_skills = pool.skills  # checked when the pool was built
+        else:
+            recorded_skills = validation.as_float_array(recorded_skills, "skills", ndim=2)
+            validation.require_in_unit_interval(recorded_skills, "skills")
+            if recorded_skills.shape != labels.shape:
+                raise ValidationError(
+                    f"labels shape {labels.shape} does not match skills shape "
+                    f"{recorded_skills.shape}"
+                )
+        # Only winners hold labels, and NumPy adds the rows of a (W, K)
+        # vote in order for K >= 2, so the winners' rows give the same
+        # scores up to the sign of a zero.  A K = 1 column is summed
+        # pairwise, so there every row takes part.
+        voters = winners if instance.n_tasks > 1 else slice(None)
+        aggregated = weighted_aggregate(labels[voters], recorded_skills[voters])
         accuracy = float(np.mean(aggregated == tasks.true_labels))
 
-        coverage = instance.effective_quality[outcome.winners].sum(axis=0)
+        coverage = instance.coverage(winners)
         demand_met = coverage >= instance.demands - DEMAND_TOL
         return SensingRound(
             outcome=outcome,

@@ -80,6 +80,11 @@ def collect_labels(
         raise ValidationError("true_labels length must match the task count")
 
     rng = ensure_rng(seed)
-    correct = rng.random(skills.shape) < skills
-    reported = np.where(correct, true_labels[None, :], -true_labels[None, :])
-    return np.where(assignments, reported, 0).astype(int)
+    # The whole (N, K) block is drawn, so a cell's draw never depends on
+    # who won; labels are formed only on the rows with an assignment.
+    uniform = rng.random(skills.shape)
+    rows = np.flatnonzero(assignments.any(axis=1))
+    reported = np.where(uniform[rows] < skills[rows], true_labels, -true_labels)
+    labels = np.zeros(skills.shape, dtype=int)
+    labels[rows] = np.where(assignments[rows], reported, 0)
+    return labels

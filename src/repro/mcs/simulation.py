@@ -223,7 +223,7 @@ class MCSSimulation:
                 c_max=self.c_max,
                 skills_estimate=self._skill_record,
             )
-            if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
+            if meets_demand(instance.coverage(), instance.demands):
                 return tasks, instance
         raise InfeasibleError(
             f"no feasible task draw in {max_tries} tries; the worker "

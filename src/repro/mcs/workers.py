@@ -10,10 +10,11 @@ Definition 2, and the analysis package constructs deviations from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.auction.bids import Bid, BidProfile
+from repro.auction.bids import BidProfile
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import ValidationError
 from repro.utils import validation
@@ -34,6 +35,11 @@ class WorkerPool:
         ``Γ*_i`` of task indices.
     costs:
         ``(N,)`` true costs ``c*_i`` for executing the interested bundle.
+
+    Construction validates every field once and keeps the bundles in CSR
+    form as well (see :mod:`repro.auction.bids`), so the truthful profile
+    and the bundle mask are built from those arrays without a per-worker
+    loop.
     """
 
     skills: np.ndarray
@@ -54,16 +60,25 @@ class WorkerPool:
             raise ValidationError(f"{costs.shape[0]} costs for {n_workers} workers")
         if costs.size and np.min(costs) < 0:
             raise ValidationError("costs must be non-negative")
-        for i, bundle in enumerate(bundles):
-            if not bundle:
+        sizes = np.fromiter(map(len, bundles), dtype=np.int64, count=len(bundles))
+        indptr = np.zeros(n_workers + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(map(sorted, bundles)), dtype=np.int64, count=int(indptr[-1])
+        )
+        bad = indptr[1:] == indptr[:-1]
+        bad[np.repeat(np.arange(n_workers), sizes)[(indices < 0) | (indices >= n_tasks)]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not bundles[i]:
                 raise ValidationError(f"worker {i} has an empty bundle")
-            if max(bundle) >= n_tasks or min(bundle) < 0:
-                raise ValidationError(f"worker {i}'s bundle names an unknown task")
-        skills.setflags(write=False)
-        costs.setflags(write=False)
+            raise ValidationError(f"worker {i}'s bundle names an unknown task")
+        for arr in (skills, costs, indptr, indices):
+            arr.setflags(write=False)
         object.__setattr__(self, "skills", skills)
         object.__setattr__(self, "bundles", bundles)
         object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "_bundle_csr", (indptr, indices))
 
     @property
     def n_workers(self) -> int:
@@ -76,17 +91,18 @@ class WorkerPool:
         return self.skills.shape[1]
 
     def truthful_bids(self) -> BidProfile:
-        """The truthful bid profile ``b*_i = (Γ*_i, c*_i)`` (Definition 2)."""
-        return BidProfile(
-            [Bid(bundle, float(cost)) for bundle, cost in zip(self.bundles, self.costs)]
-        )
+        """The truthful bid profile ``b*_i = (Γ*_i, c*_i)`` (Definition 2).
+
+        Wraps the pool's own bundle CSR and costs, which construction
+        validated (finite, non-negative costs; non-empty, in-range
+        bundles), without a copy.
+        """
+        indptr, indices = self._bundle_csr
+        return BidProfile._from_validated(indptr, indices, self.costs)
 
     def bundle_mask(self) -> np.ndarray:
         """Boolean ``(N, K)`` membership matrix of the true bundles."""
-        mask = np.zeros((self.n_workers, self.n_tasks), dtype=bool)
-        for i, bundle in enumerate(self.bundles):
-            mask[i, list(bundle)] = True
-        return mask
+        return self.truthful_bids().bundle_mask(self.n_tasks)
 
     def to_instance(
         self,

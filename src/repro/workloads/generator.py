@@ -112,7 +112,7 @@ def generate_instance(
             c_min=setting.c_min,
             c_max=setting.c_max,
         )
-        if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
+        if meets_demand(instance.coverage(), instance.demands):
             return instance, pool
     raise InfeasibleError(
         f"could not draw a feasible instance in {max_retries} attempts "

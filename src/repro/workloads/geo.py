@@ -225,7 +225,7 @@ def generate_geo_market(
             c_min=low,
             c_max=high,
         )
-        if meets_demand(instance.effective_quality.sum(axis=0), instance.demands):
+        if meets_demand(instance.coverage(), instance.demands):
             return GeoMarket(
                 instance=instance,
                 pool=pool,

@@ -206,15 +206,34 @@ class TestGridPriceEqualsAskingPrice:
     def test_representation_dust_does_not_exclude_a_worker(self):
         # 0.1 + 0.2 > 0.3 by ~5.6e-17: without the relative inflation a
         # worker asking "0.3" would be priced out of the 0.3 grid point.
-        # (Feasibility itself uses the exact mask — strictly conservative,
-        # since the inflated grouping only ever *adds* workers — so the
-        # guard is exercised at the grouping layer.)
+        # (Feasibility applies the same guard through
+        # ``AuctionInstance.affordable_mask``; this pins it at the
+        # grouping layer.)
         asking = 0.1 + 0.2
         assert asking > 0.3
         instance = make_instance([asking], price_grid=[0.3, 0.4])
         groups = group_prices_by_candidates(instance, np.array([0.3, 0.4]))
         assert len(groups) == 1
         assert np.array_equal(groups[0].candidates, [0])
+
+    def test_feasibility_and_grouping_agree_on_who_can_afford_a_price(self):
+        # Worker 1 asks one ulp above 4.1, inside the dust guard: grouping
+        # counts it as affordable at 4.1, where workers 0 and 1 meet the
+        # demand, so the feasible set must start there too, not at 4.2.
+        asks = [3.0, float(np.nextafter(4.1, 5.0)), 6.0]
+        instance = AuctionInstance(
+            bids=BidProfile([Bid([0], ask) for ask in asks]),
+            quality=np.full((3, 1), 0.5),
+            demands=np.array([0.9]),
+            price_grid=np.round(np.arange(3.0, 6.05, 0.1), 10),
+            c_min=1.0,
+            c_max=6.0,
+        )
+        prices = feasible_price_set(instance)
+        assert prices[0] == 4.1
+        groups = group_prices_by_candidates(instance, prices)
+        assert np.array_equal(groups[0].candidates, [0, 1])
+        assert instance.affordable_mask(4.1).tolist() == [True, True, False]
 
     def test_guard_never_pulls_in_a_more_expensive_worker(self):
         instance = make_instance([1.5, 1.5 + 1e-6], price_grid=[1.5, 2.0])
