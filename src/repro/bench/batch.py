@@ -17,11 +17,10 @@ shared pool of :mod:`repro.utils.pool`), then one loop in the parent
 settles the instances in input order.  The pool is one warm pool per
 configured width, forked by the first process batch and reused by every
 later batch (and by parallel payment sweeps) until interpreter exit or
-:func:`~repro.utils.pool.shutdown_shared_pools`.  Each unit runs in an
-empty context and receives the one ambient policy it needs, the
-plan-cache setting of :func:`~repro.engine.scoped_engine`, as an
-argument.  A pool that breaks mid-batch is replaced and the batch
-resubmitted once.
+:func:`~repro.utils.pool.shutdown_shared_pools`.  Each unit re-tenants
+the ambient budget scope and takes its own
+:func:`~repro.engine.scoped_engine`.  A pool that breaks mid-batch is
+replaced and the batch resubmitted once.
 
 Failure semantics (the :mod:`repro.resilience` integration): an instance
 that raises no longer aborts the batch.  Transient failures
@@ -53,7 +52,6 @@ import time
 # ``bench.pool`` span open until shutdown, which a pool that outlives
 # ``run`` would leave open.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -121,21 +119,21 @@ class _SharedSlot:
         return batch.unpack(self.index)
 
 
-def _run_instance(mechanism, instance, seed, engine, budget=None) -> AuctionOutcome:
+def _run_instance(mechanism, instance, seed, tenant=None) -> AuctionOutcome:
     """One batch instance as a unit of work for the resilient executor.
 
-    Module-level so it pickles for the pool.  ``engine`` is the batch's
-    :func:`~repro.engine.scoped_engine`, read in the parent: every
-    execution runs on an empty clone of it (plan reuse within one
-    instance, never across instances, attempts or backends), which also
-    carries the plan-cache policy to warm pool workers.  ``budget`` is
-    the ambient budget scope re-scoped to the instance's tenant.
+    Module-level so it pickles for the pool.  Every execution runs on its
+    own :func:`~repro.engine.scoped_engine` (plan reuse within one
+    instance, never across instances, attempts or backends) and, when a
+    ``tenant`` is named, under the ambient budget scope re-scoped to it.
     """
     if isinstance(instance, _SharedSlot):
         instance = instance.unpack()
-    with use_budget_scope(budget) if budget is not None else nullcontext():
-        with use_engine(engine.fresh()):
-            return mechanism.run(instance, np.random.default_rng(seed))
+    scope = current_budget_scope()
+    if tenant is not None:
+        scope = scope.with_tenant(tenant)
+    with use_budget_scope(scope), use_engine(scoped_engine()):
+        return mechanism.run(instance, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -391,11 +389,9 @@ class BatchAuctionRunner:
         Notes
         -----
         With an *active* ambient budget store the batch always runs on
-        the serial backend (the executor's in-process rule, see
-        :meth:`~repro.resilience.ResilientExecutor.run_units`): budget
-        scopes live in contextvars, which do not cross process-pool
-        boundaries, and serial charging is also what keeps each charge's
-        admission decision ordered.
+        the serial backend, which keeps each charge's admission decision
+        ordered (the executor's in-process rule, see
+        :meth:`~repro.resilience.ResilientExecutor.run_units`).
         """
         instances = list(instances)
         if tenants is not None:
@@ -430,13 +426,6 @@ class BatchAuctionRunner:
         if trace_id is not None:
             batch_attrs["trace_id"] = trace_id
             batch_attrs["span_id"] = f"{trace_id}:batch"
-        scope = current_budget_scope()
-        budgets = (
-            [scope.with_tenant(tenant) for tenant in tenants]
-            if tenants is not None and scope.active
-            else [None] * n
-        )
-        engine = scoped_engine()
         shared = None
         if self.transport == "shared_memory" and n:
             shared = SharedInstanceBatch.create(instances)
@@ -451,8 +440,8 @@ class BatchAuctionRunner:
                 done = executor.run_units(
                     _run_instance,
                     [
-                        (self.mechanism, source, child, engine, budget)
-                        for source, child, budget in zip(sources, seeds, budgets)
+                        (self.mechanism, source, child, tenant)
+                        for source, child, tenant in zip(sources, seeds, tenants or [None] * n)
                     ],
                     seeds,
                     # The shared pool is as wide as the configured worker

@@ -214,7 +214,6 @@ class CampaignRunner:
         context = CellContext(
             campaign=self.spec.name, fast=self.spec.fast, seed=self.spec.seed
         )
-        scope = current_budget_scope()
         payloads: dict[str, dict] = {}
         for index, (cell, unit_seed) in enumerate(
             zip(self.spec.cells, self._unit_seeds())
@@ -223,12 +222,10 @@ class CampaignRunner:
 
             def run_cell(cell=cell, kind=kind) -> dict:
                 cell_recorder = MetricsRecorder()
-                with use_budget_scope(scope.with_tenant(cell.resolved_tenant)):
-                    with use_recorder(cell_recorder):
-                        with cell_recorder.span(
-                            "campaign_cell", cell.name, cell_kind=cell.kind
-                        ):
-                            result = kind.runner(cell, context)
+                scope = current_budget_scope().with_tenant(cell.resolved_tenant)
+                with use_budget_scope(scope), use_recorder(cell_recorder):
+                    with cell_recorder.span("campaign_cell", cell.name, cell_kind=cell.kind):
+                        result = kind.runner(cell, context)
                 write_cell_artifacts(
                     self.directory / "cells" / cell.name,
                     campaign=self.spec.name,

@@ -4,9 +4,9 @@
 objects — keyed by ``(instance, cover_solver)`` **object identity** —
 behind a bounded LRU cache, so an N-mechanism comparison on one instance
 pays for the expensive winner-set sweep once instead of N times.
-Mechanisms fetch the ambient engine via :func:`current_engine` (a
-:mod:`contextvars` variable mirroring :func:`repro.obs.current_recorder`);
-the default :data:`DEFAULT_ENGINE` is a pass-through that computes every
+Mechanisms fetch the ambient engine via :func:`current_engine` (the
+``engine`` field of the one :class:`~repro.context.RunContext`); the
+default :data:`DEFAULT_ENGINE` is a pass-through that computes every
 plan fresh, so nothing is ever cached — or kept alive — unless a caller
 opts in with :func:`use_engine`.
 
@@ -25,21 +25,19 @@ is no invalidation to forget.
 Unit-of-work scoping
 --------------------
 Long-lived caches keyed by identity would pin instances in memory and
-make span/counter streams depend on what ran earlier in the process.  The
-batch and sweep layers therefore install a *fresh* engine per unit of
-work (one batch instance, one sweep point) via :func:`scoped_engine`,
-mirroring the fresh-recorder-per-instance metrics protocol — which also
-keeps serial and process-pool executions metric-identical.
+make span/counter streams depend on what ran earlier in the process, so
+every unit of work (one batch instance, one sweep point) installs its own
+:func:`scoped_engine`, which keeps serial and pooled runs metric-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 from collections import OrderedDict
 from typing import Callable, Iterator
 
 from repro.auction.instance import AuctionInstance
+from repro.context import current_context, use_context
 from repro.coverage.greedy import GreedyResult, greedy_cover
 from repro.coverage.problem import CoverProblem
 from repro.engine.plan import SweepPlan, build_plan
@@ -194,24 +192,23 @@ class SweepEngine:
 #: :func:`scoped_engine`.
 DEFAULT_ENGINE = SweepEngine(cache=False)
 
-_CURRENT: contextvars.ContextVar[SweepEngine] = contextvars.ContextVar(
-    "repro.engine.current", default=DEFAULT_ENGINE
-)
-
 
 def current_engine() -> SweepEngine:
     """The ambient :class:`SweepEngine` (default: pass-through)."""
-    return _CURRENT.get()
+    engine = current_context().engine
+    return DEFAULT_ENGINE if engine is None else engine
 
 
 @contextlib.contextmanager
 def use_engine(engine: SweepEngine) -> Iterator[SweepEngine]:
-    """Install ``engine`` as the ambient engine for the ``with`` body."""
-    token = _CURRENT.set(engine)
-    try:
+    """Install ``engine`` as the ambient engine for the ``with`` body.
+
+    :data:`DEFAULT_ENGINE` is installed as ``None`` (the default), which
+    a pool worker's context also reads as the default.
+    """
+    field = None if engine is DEFAULT_ENGINE else engine
+    with use_context(current_context().replace(engine=field)):
         yield engine
-    finally:
-        _CURRENT.reset(token)
 
 
 def scoped_engine() -> SweepEngine:

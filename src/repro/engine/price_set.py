@@ -126,34 +126,21 @@ def group_prices_by_candidates(
     """
     asking = instance.prices
     order = np.argsort(asking, kind="stable")
-    sorted_asking = asking[order]
     # counts[k] = |{i : ρ_i ≤ prices[k]}| — grows (weakly) along the grid.
     # Guard float dust: a grid price equal to an asking price must include
     # that worker, hence the tiny relative inflation (the same predicate
     # as ``AuctionInstance.affordable_mask``, which feasibility uses).
-    counts = np.searchsorted(sorted_asking, inflate_prices(prices), side="right")
-
-    if len(prices) and counts[0] == counts[-1]:
-        # Degenerate single-group case (every feasible price affords the
-        # same workers — e.g. the whole population): no per-price scan.
-        return [
-            PriceGroup(
-                candidates=np.sort(order[: counts[0]]),
-                price_indices=np.arange(len(prices)),
-                instance=instance,
-            )
-        ]
-
-    groups: list[PriceGroup] = []
-    start = 0
-    for end in range(1, len(prices) + 1):
-        if end == len(prices) or counts[end] != counts[start]:
-            groups.append(
-                PriceGroup(
-                    candidates=np.sort(order[: counts[start]]),
-                    price_indices=np.arange(start, end),
-                    instance=instance,
-                )
-            )
-            start = end
-    return groups
+    counts = np.searchsorted(asking[order], inflate_prices(prices), side="right")
+    # A group starts wherever the count steps; its candidates, the workers
+    # ranked below its count, come out of one comparison in index order.
+    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return [
+        PriceGroup(
+            candidates=np.flatnonzero(rank < counts[start]),
+            price_indices=np.arange(start, end),
+            instance=instance,
+        )
+        for start, end in zip(starts, starts[1:] + [counts.size])
+    ]

@@ -139,18 +139,14 @@ def run_figure_spec(
     )
 
 
-def _figure_executor(name: str, seed: int, n_price_samples: int) -> ResilientExecutor | None:
-    """The rep-unit executor for an ambient resilience config, if any.
+def _figure_executor(name: str, seed: int, n_price_samples: int) -> ResilientExecutor:
+    """The rep-unit executor for the ambient resilience config (maybe all off).
 
-    Returns ``None`` when resilience is off, in which case the driver
-    takes its original direct path — byte-for-byte identical behavior,
-    traces included.  Each (sweep point, repetition) pair is one
-    resilience unit: it retries with its own seed, checkpoints under its
-    own fingerprint, and resumes independently.
+    Each (sweep point, repetition) pair is one unit: it retries with its
+    own seed, checkpoints under its own fingerprint, and resumes
+    independently.
     """
     ambient = current_resilience()
-    if not ambient.enabled:
-        return None
     checkpoint = None
     if ambient.checkpoint_dir is not None:
         checkpoint = SweepCheckpoint(
@@ -228,43 +224,29 @@ def run_payment_figure(
     rng = ensure_rng(seed)
     point_rngs = rng.spawn(len(sweep_values))
     executor = _figure_executor(name, seed, n_price_samples)
-    unit = 0
     rows = []
-    for value, point_rng in zip(sweep_values, point_rngs):
+    for point, (value, point_rng) in enumerate(zip(sweep_values, point_rngs)):
         kwargs = {"n_workers": int(value)} if sweep_axis == "workers" else {"n_tasks": int(value)}
         rep_stats = []
-        for rep_rng in point_rng.spawn(n_repetitions):
-            if executor is None:
-                rep_stats.append(
-                    payment_sweep_point(
+        for rep, rep_rng in enumerate(point_rng.spawn(n_repetitions)):
+            # A spawned, unconsumed Generator is exactly its SeedSequence
+            # replayed, so a unit re-runs (and resumes) bit-identically.
+            unit_seed = generator_seed_sequence(rep_rng)
+            rep_stats.append(
+                executor.run_unit(
+                    point * n_repetitions + rep,
+                    unit_seed,
+                    lambda s=unit_seed: payment_sweep_point(
                         setting,
                         mechanisms,
                         n_price_samples=n_price_samples,
-                        seed=rep_rng,
+                        seed=np.random.default_rng(s),
                         **kwargs,
-                    )
+                    ),
+                    encode=encode_payment_stats,
+                    decode=decode_payment_stats,
                 )
-            else:
-                # A spawned, unconsumed Generator is exactly its
-                # SeedSequence replayed, so the resilient unit re-runs
-                # (and resumes) bit-identically to the direct path.
-                unit_seed = generator_seed_sequence(rep_rng)
-                rep_stats.append(
-                    executor.run_unit(
-                        unit,
-                        unit_seed,
-                        lambda s=unit_seed: payment_sweep_point(
-                            setting,
-                            mechanisms,
-                            n_price_samples=n_price_samples,
-                            seed=np.random.default_rng(s),
-                            **kwargs,
-                        ),
-                        encode=encode_payment_stats,
-                        decode=decode_payment_stats,
-                    )
-                )
-            unit += 1
+            )
         row: list = [int(value)]
         for mech in mechanisms:
             means = [stats[mech].mean for stats in rep_stats]

@@ -150,23 +150,16 @@ def payment_sweep_point(
     return results
 
 
-def _sweep_point(setting, mechanisms, n_workers, n_tasks, n_price_samples, seed, engine):
-    """One sweep point as a unit of work; module-level so it pickles.
-
-    ``engine`` is the sweep's :func:`~repro.engine.scoped_engine`, read
-    in the parent and installed around the point, so the plan-cache
-    policy reaches pool workers (which run every task in an empty
-    context).
-    """
-    with use_engine(engine):
-        return payment_sweep_point(
-            setting,
-            mechanisms,
-            n_workers=n_workers,
-            n_tasks=n_tasks,
-            n_price_samples=n_price_samples,
-            seed=np.random.default_rng(seed),
-        )
+def _sweep_point(setting, mechanisms, n_workers, n_tasks, n_price_samples, seed):
+    """One sweep point as a unit of work; module-level so it pickles."""
+    return payment_sweep_point(
+        setting,
+        mechanisms,
+        n_workers=n_workers,
+        n_tasks=n_tasks,
+        n_price_samples=n_price_samples,
+        seed=np.random.default_rng(seed),
+    )
 
 
 def encode_payment_stats(stats: Mapping[str, PaymentStats]) -> dict:
@@ -281,8 +274,7 @@ def payment_sweep(
         points out over the shared long-lived process pool
         (:func:`repro.utils.pool.pool_map`).
         With an active ambient budget store (:mod:`repro.privacy.budget`)
-        the sweep always runs serially regardless — budget scopes live
-        in contextvars, which do not cross process boundaries.
+        the sweep always runs serially regardless.
     recorder:
         Observability sink; defaults to the ambient recorder.
     retry:
@@ -322,12 +314,11 @@ def payment_sweep(
         recorder=recorder,
         sleep=sleep,
     )
-    engine = scoped_engine()
     mechanisms = dict(mechanisms)
     done = executor.run_units(
         _sweep_point,
         [
-            (setting, mechanisms, n_workers, n_tasks, n_price_samples, child, engine)
+            (setting, mechanisms, n_workers, n_tasks, n_price_samples, child)
             for (n_workers, n_tasks), child in zip(points, children)
         ],
         children,

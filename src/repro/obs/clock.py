@@ -7,8 +7,8 @@ single source of "what time is it" so tests can substitute a
 assertions stop being ``>= 0.0`` smoke checks and start pinning exact
 values.
 
-The ambient clock is a :mod:`contextvars` variable (mirroring
-:func:`repro.obs.current_recorder`), so installing a fake clock in one
+The ambient clock is the ``clock`` field of the one
+:class:`~repro.context.RunContext`, so installing a fake clock in one
 test never leaks into another thread or async task:
 
 >>> from repro.obs.clock import FakeClock, current_clock, use_clock
@@ -23,9 +23,10 @@ test never leaks into another thread or async task:
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import time
 from typing import Iterator
+
+from repro.context import current_context, use_context
 
 __all__ = [
     "Clock",
@@ -86,25 +87,18 @@ class FakeClock(Clock):
 #: The shared real clock (the ambient default).
 MONOTONIC_CLOCK = MonotonicClock()
 
-_CURRENT: contextvars.ContextVar[Clock] = contextvars.ContextVar(
-    "repro_obs_clock", default=MONOTONIC_CLOCK
-)
-
 
 def current_clock() -> Clock:
     """The ambient clock (:data:`MONOTONIC_CLOCK` unless one is installed)."""
-    return _CURRENT.get()
+    clock = current_context().clock
+    return MONOTONIC_CLOCK if clock is None else clock
 
 
 @contextlib.contextmanager
 def use_clock(clock: Clock) -> Iterator[Clock]:
     """Install ``clock`` as the ambient clock for the ``with`` body.
 
-    Scopes nest and restore on exit, exactly like
-    :func:`repro.obs.use_recorder`.
+    Scopes nest and restore on exit.
     """
-    token = _CURRENT.set(clock)
-    try:
+    with use_context(current_context().replace(clock=clock)):
         yield clock
-    finally:
-        _CURRENT.reset(token)

@@ -30,6 +30,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.context import current_context
 from repro.exceptions import BudgetExceededError
 from repro.privacy.composition import Composition
 from repro.utils import validation
@@ -40,15 +41,6 @@ logger = logging.getLogger("repro.obs.ledger")
 
 #: The pure-DP composition rules a :class:`LedgerEntry` may declare.
 COMPOSITIONS = ("sequential", "parallel")
-
-
-def _ambient_budget_scope():
-    # Imported lazily: repro.privacy.budget pulls in repro.resilience,
-    # whose executor imports repro.obs — a module-level import here
-    # would close that cycle while ``repro.obs.__init__`` is mid-load.
-    from repro.privacy.budget.context import current_budget_scope
-
-    return current_budget_scope()
 
 
 @dataclass(frozen=True)
@@ -144,9 +136,9 @@ class PrivacyLedger:
             The entry and the charge are both recorded *before* raising,
             so the audit trail keeps the violating expenditure.
         """
-        scope = _ambient_budget_scope()
+        scope = current_context().budget  # None: the null scope
         store_exc: BudgetExceededError | None = None
-        if scope.active:
+        if scope is not None and scope.active:
             # Forward into the cross-run budget store — even for a
             # non-keeping ledger, since enforcement must not depend on
             # whether an observability recorder happens to be installed.

@@ -12,8 +12,8 @@ pipeline needs to explain itself:
   after each greedy step, winner-set sizes).
 
 Instrumented code fetches the ambient recorder once per call via
-:func:`current_recorder` (a :mod:`contextvars` variable, so nested
-scopes and threads compose correctly) and the default is the shared
+:func:`current_recorder` (a field of :class:`~repro.context.RunContext`,
+so nested scopes and threads compose correctly) and the default is the shared
 :data:`NULL_RECORDER`, whose every verb is a no-op — uninstrumented runs
 pay only a handful of no-op method calls per auction.
 
@@ -43,12 +43,12 @@ paths still agree bit-for-bit on every quantile.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from repro.context import current_context, use_context
 from repro.obs.aggregate import DEFAULT_RELATIVE_ERROR, QuantileSketch
 from repro.obs.clock import current_clock
 
@@ -461,22 +461,18 @@ class MetricsRecorder(Recorder):
         )
 
 
-_CURRENT: contextvars.ContextVar[Recorder] = contextvars.ContextVar(
-    "repro_obs_recorder", default=NULL_RECORDER
-)
-
-
 def current_recorder() -> Recorder:
     """The ambient recorder (the :data:`NULL_RECORDER` unless one is installed)."""
-    return _CURRENT.get()
+    recorder = current_context().recorder
+    return NULL_RECORDER if recorder is None else recorder
 
 
 @contextlib.contextmanager
 def use_recorder(recorder: Recorder) -> Iterator[Recorder]:
     """Install ``recorder`` as the ambient recorder for the ``with`` body.
 
-    Scopes nest and restore on exit; being a context variable, the
-    installation is local to the current thread/async task.
+    Scopes nest and restore on exit; the installation is local to the
+    current thread/async task.
 
     Examples
     --------
@@ -488,8 +484,5 @@ def use_recorder(recorder: Recorder) -> Iterator[Recorder]:
     >>> current_recorder() is rec
     False
     """
-    token = _CURRENT.set(recorder)
-    try:
+    with use_context(current_context().replace(recorder=recorder)):
         yield recorder
-    finally:
-        _CURRENT.reset(token)

@@ -26,10 +26,10 @@ subject.  This package promotes the per-run audit trail of
   tagged ``degraded=True``, and a :class:`RenewalSchedule` refreshes
   budgets by auction count or logical-clock epoch.
 * :mod:`~repro.privacy.budget.context` — :func:`use_budget_store` /
-  :func:`current_budget_scope`, the ambient :class:`BudgetScope`
-  contextvar (the same pattern as :func:`repro.obs.use_recorder` and
-  :func:`repro.engine.use_engine`) through which
-  :class:`~repro.obs.PrivacyLedger` forwards every recorded draw.
+  :func:`current_budget_scope`, the ambient :class:`BudgetScope` (the
+  ``budget`` field of the one :class:`~repro.context.RunContext`)
+  through which :class:`~repro.obs.PrivacyLedger` forwards every
+  recorded draw.
 * :mod:`~repro.privacy.budget.report` — :func:`render_audit_report`,
   the per-tenant spend report behind ``python -m repro audit``.
 

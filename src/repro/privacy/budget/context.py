@@ -1,12 +1,10 @@
-"""Ambient budget scope (contextvar, like ``repro.obs`` / ``repro.engine``).
+"""Ambient budget scope: the ``budget`` field of the run context.
 
-Mechanisms must not thread a budget store through every call site, so —
-exactly like :func:`repro.obs.use_recorder`,
-:func:`repro.resilience.use_resilience`, and
-:func:`repro.engine.use_engine` — the active budget configuration lives
-on a :mod:`contextvars` variable as a :class:`BudgetScope`: the store,
-the ``(tenant, principal)`` account the surrounding run charges
-against, and the admission controller applying the exhaustion policy.
+Mechanisms must not thread a budget store through every call site, so
+the active budget configuration is a :class:`BudgetScope` in the
+ambient :class:`~repro.context.RunContext`: the store, the ``(tenant,
+principal)`` account the surrounding run charges against, and the
+admission controller applying the exhaustion policy.
 
 The default scope wraps :data:`~repro.privacy.budget.store.
 NULL_BUDGET_STORE` — unlimited and non-recording — so every existing
@@ -29,10 +27,10 @@ False
 from __future__ import annotations
 
 import contextlib
-import contextvars
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from repro.context import current_context, use_context
 from repro.privacy.budget.admission import AdmissionController, AdmissionDecision, RenewalSchedule
 from repro.privacy.budget.store import NULL_BUDGET_STORE, BudgetStore
 
@@ -120,19 +118,16 @@ class BudgetScope:
 #: The default scope: null store, no admission control, zero overhead.
 NULL_BUDGET_SCOPE = BudgetScope()
 
-_CURRENT: contextvars.ContextVar[BudgetScope] = contextvars.ContextVar(
-    "repro_budget_scope", default=NULL_BUDGET_SCOPE
-)
-
 
 def current_budget_scope() -> BudgetScope:
     """The ambient scope (:data:`NULL_BUDGET_SCOPE` unless one is installed)."""
-    return _CURRENT.get()
+    scope = current_context().budget
+    return NULL_BUDGET_SCOPE if scope is None else scope
 
 
 def current_budget_store() -> BudgetStore:
     """The ambient scope's store (the null store by default)."""
-    return _CURRENT.get().store
+    return current_budget_scope().store
 
 
 @contextlib.contextmanager
@@ -144,11 +139,8 @@ def use_budget_scope(scope: BudgetScope) -> Iterator[BudgetScope]:
     :func:`use_budget_store` convenience instead; the batch layers use
     this form to re-tenant an inherited scope per instance.
     """
-    token = _CURRENT.set(scope)
-    try:
+    with use_context(current_context().replace(budget=scope)):
         yield scope
-    finally:
-        _CURRENT.reset(token)
 
 
 @contextlib.contextmanager

@@ -1,4 +1,4 @@
-"""Ambient resilience configuration (contextvar, like ``repro.obs``).
+"""Ambient resilience configuration: the ``resilience`` field of the run context.
 
 The execution layers (:class:`~repro.bench.BatchAuctionRunner`,
 :func:`repro.experiments.runner.payment_sweep`, the Figure 1–4 driver,
@@ -6,10 +6,10 @@ The execution layers (:class:`~repro.bench.BatchAuctionRunner`,
 ``retry``/``fault_plan``/``checkpoint`` arguments, but a CLI run needs
 one switch that reaches every sweep an experiment performs without
 threading parameters through each registry module.
-:func:`use_resilience` installs a :class:`ResilienceConfig` on a
-:mod:`contextvars` variable — exactly the pattern
-:func:`repro.obs.use_recorder` uses — and the execution layers fall back
-to :func:`current_resilience` for any argument the caller left ``None``.
+:func:`use_resilience` installs a :class:`ResilienceConfig` as the
+``resilience`` field of the one ambient :class:`~repro.context.RunContext`,
+and the execution layers fall back to :func:`current_resilience` for any
+argument the caller left ``None``.
 
 The default :data:`RESILIENCE_OFF` disables everything: no retries, no
 fault injection, no checkpointing, zero overhead.
@@ -18,11 +18,11 @@ fault injection, no checkpointing, zero overhead.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
+from repro.context import current_context, use_context
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 
@@ -68,14 +68,11 @@ class ResilienceConfig:
 #: The default configuration: everything off.
 RESILIENCE_OFF = ResilienceConfig()
 
-_CURRENT: contextvars.ContextVar[ResilienceConfig] = contextvars.ContextVar(
-    "repro_resilience_config", default=RESILIENCE_OFF
-)
-
 
 def current_resilience() -> ResilienceConfig:
     """The ambient config (:data:`RESILIENCE_OFF` unless one is installed)."""
-    return _CURRENT.get()
+    config = current_context().resilience
+    return RESILIENCE_OFF if config is None else config
 
 
 @contextlib.contextmanager
@@ -94,8 +91,5 @@ def use_resilience(config: ResilienceConfig) -> Iterator[ResilienceConfig]:
     >>> current_resilience().enabled
     False
     """
-    token = _CURRENT.set(config)
-    try:
+    with use_context(current_context().replace(resilience=config)):
         yield config
-    finally:
-        _CURRENT.reset(token)

@@ -27,6 +27,12 @@ resumed runs replay the checkpointed snapshots of an uninterrupted one.
 A failed attempt's spans, counters and histograms are discarded, but its
 draws were already charged to the budget store, so its ledger entries
 are kept, ahead of the unit's own.
+
+The executor alone decides what ambient state crosses a unit boundary:
+every attempt runs under the caller's :class:`~repro.context.RunContext`
+with the sink, or its own trace-stamped recorder, as its recorder; a
+pooled attempt gets only the engine's plan-cache policy (an empty clone
+of a non-default engine) and every other field at its default.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.context import RunContext, current_context, use_context
 from repro.exceptions import InstanceExecutionError
-from repro.obs import MetricsRecorder, Recorder, current_recorder, use_recorder
+from repro.obs import MetricsRecorder, Recorder, current_recorder
 from repro.privacy.budget.context import current_budget_scope
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.faults import FaultPlan, ensure_outcome_sane
@@ -55,27 +62,25 @@ logger = logging.getLogger("repro.resilience.executor")
 _ON_ERROR = ("raise", "quarantine")
 
 
-def _attempt(fn, args, index, attempt, fault_plan, collect, trace, outcomes):
+def _attempt(fn, args, index, attempt, fault_plan, context, outcomes):
     """One guarded attempt of unit ``index``: ``(value, snapshot, error)``.
 
     Module-level so it pickles for the pool.  Injects the planned fault,
-    runs ``fn(*args)`` under a fresh recorder stamped with ``trace`` when
-    ``collect``, and applies the poison rule: a unit returning an auction
-    outcome (``outcomes``) is corrupted, then rejected by
+    runs ``fn(*args)`` under the unit's ``context`` (snapshotting its
+    recorder when that is a fresh ``MetricsRecorder``), and applies the
+    poison rule: a unit returning an auction outcome (``outcomes``) is
+    corrupted, then rejected by
     :func:`~repro.resilience.faults.ensure_outcome_sane`; any other unit
     has nothing to corrupt, so poison fails it before it runs.  A failed
     attempt returns its ledger snapshot in place of the metrics snapshot.
     """
-    local = MetricsRecorder(trace=trace) if collect else None
+    local = context.recorder if isinstance(context.recorder, MetricsRecorder) else None
     try:
         if fault_plan is not None:
             fault_plan.raise_if_planned(index, attempt, poison_as_error=not outcomes)
-        if local is None:
-            value, snapshot = fn(*args), None
-        else:
-            with use_recorder(local):
-                value = fn(*args)
-            snapshot = local.snapshot()
+        with use_context(context):
+            value = fn(*args)
+        snapshot = None if local is None else local.snapshot()
         if outcomes and fault_plan is not None:
             value = ensure_outcome_sane(fault_plan.corrupt(value, index, attempt))
         return value, snapshot, None
@@ -210,9 +215,9 @@ class ResilientExecutor:
         bit-identical to a never-faulted one.  ``width=None`` runs the
         attempt phase in-process; an integer runs it on the shared pool
         of that width (``fn`` and ``args`` must pickle) — except under an
-        active ambient budget scope, which always runs in-process: budget
-        scopes live in contextvars, which never reach pool workers, and
-        in-process charging keeps every ε-draw's admission in unit order.
+        active ambient budget scope, which always runs in-process: a
+        pooled attempt sees the default budget scope, and in-process
+        charging keeps every ε-draw's admission in unit order.
         ``on_error="raise"`` raises the first permanent failure after
         settling every unit before it; ``"quarantine"`` leaves ``None``
         in its slot.  ``outcomes`` selects the poison rule of
@@ -236,18 +241,27 @@ class ResilientExecutor:
         if width is not None and current_budget_scope().active:
             logger.info("budget store active: running %d units in-process", len(pending))
             width = None
+        parent = current_context()
+        # Record into the sink: _attempt snapshots any MetricsRecorder it gets.
+        inline = parent.replace(recorder=sink)
+        pooled = RunContext(engine=None if parent.engine is None else parent.engine.fresh())
+        stamp = None
+        if trace_id is not None:
+            stamp = {"trace_id": trace_id, "parent_span": f"{trace_id}:batch"}
 
         def task(i: int, attempt: int) -> tuple:
             index = start + i
-            trace = None
-            if trace_id is not None:
-                trace = {"trace_id": trace_id, "parent_span": f"{trace_id}:batch", "unit": index}
-            return (fn, args[i], index, attempt, self.fault_plan, self.collect, trace, outcomes)
+            context = pooled if attempt == 0 and width is not None else inline
+            if self.collect:
+                trace = None if stamp is None else {**stamp, "unit": index}
+                with use_context(context):  # the unit's own clock times its spans
+                    context = context.replace(recorder=MetricsRecorder(trace=trace))
+            return (fn, args[i], index, attempt, self.fault_plan, context, outcomes)
 
-        tasks = [task(i, 0) for i in pending]
-        if width is None or not tasks:
-            firsts = [_attempt(*t) for t in tasks]
+        if width is None or not pending:
+            firsts = [_attempt(*task(i, 0)) for i in pending]
         else:
+            tasks = [task(i, 0) for i in pending]
             chunksize = max(1, len(tasks) // (4 * width))
             firsts = pool_map(width, _attempt, *zip(*tasks), chunksize=chunksize)
         first = dict(zip(pending, firsts))

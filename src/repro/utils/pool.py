@@ -17,13 +17,10 @@ operations of the repository benchmark spent a median 150 of their
 Workers configure their logging once, in the pool initializer, instead
 of on every task.
 
-Warm workers outlive the ambient state they were forked under (the
-recorder, sweep engine, budget scope and resilience contextvars), so
-every task runs in a fresh, empty :class:`contextvars.Context`: a unit
-sees only the defaults plus whatever its arguments install.  Ambient
-policy a unit needs (the plan-cache setting of
-:func:`~repro.engine.scoped_engine`) is read in the parent at call time
-and passed as an argument.
+Warm workers outlive the ambient state they were forked under, so every
+task runs in a fresh, empty :class:`contextvars.Context`; a unit of work
+receives the :class:`~repro.context.RunContext` it runs under from the
+executor, which alone decides what crosses the boundary.
 
 A pool found broken during a call (a worker died, even while idle
 between calls) is replaced and the call is resubmitted once; a second

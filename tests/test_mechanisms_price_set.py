@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.auction.bids import Bid, BidProfile
 from repro.auction.instance import AuctionInstance
@@ -120,3 +122,43 @@ class TestGroupPrices:
             group_price = float(prices[group.price_indices[0]])
             expected = np.flatnonzero(instance.prices <= group_price + 1e-9)
             assert group.candidates.tolist() == expected.tolist()
+
+
+#: Asks and grid prices share one small pool, so asks tie and grid prices
+#: land exactly on asks.
+PRICE_POOL = [0.5, 1.0, 1.25, 2.0, 3.5, 5.0]
+
+
+def _brute_force_groups(instance, prices):
+    """Maximal runs of prices whose ``affordable_mask`` agrees, price by price."""
+    groups = []
+    for k, price in enumerate(prices):
+        candidates = np.flatnonzero(instance.affordable_mask(float(price))).tolist()
+        if groups and groups[-1][0] == candidates:
+            groups[-1][1].append(k)
+        else:
+            groups.append((candidates, [k]))
+    return groups
+
+
+@given(
+    asks=st.lists(st.sampled_from(PRICE_POOL), min_size=1, max_size=12),
+    grid=st.lists(st.sampled_from(PRICE_POOL), min_size=1, max_size=6, unique=True),
+)
+@example(asks=[1.0, 1.0, 1.0], grid=[1.0, 2.0, 3.5])  # every price affords all
+@example(asks=[2.0, 1.25, 2.0, 5.0], grid=[1.25, 2.0, 5.0])  # ties on the grid
+@settings(max_examples=100, deadline=None)
+def test_grouping_matches_affordable_mask_price_by_price(asks, grid):
+    instance = AuctionInstance(
+        bids=BidProfile([Bid([0], ask) for ask in asks]),
+        quality=np.full((len(asks), 1), 0.9),
+        demands=np.array([0.5]),
+        price_grid=np.array(sorted(grid)),
+        c_min=0.5,
+        c_max=5.0,
+    )
+    prices = instance.price_grid
+    groups = group_prices_by_candidates(instance, prices)
+    assert [
+        (g.candidates.tolist(), g.price_indices.tolist()) for g in groups
+    ] == _brute_force_groups(instance, prices)

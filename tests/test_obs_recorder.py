@@ -396,3 +396,24 @@ class TestSpanKindRegistry:
 
     def test_registry_has_no_duplicates(self):
         assert len(set(SPAN_KINDS)) == len(SPAN_KINDS)
+
+
+def declared_context_vars(tree: ast.AST):
+    """Line of every ``ContextVar(...)`` call, qualified or imported bare."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "ContextVar":
+                yield node.lineno
+
+
+class TestOneAmbientContext:
+    def test_src_declares_exactly_one_context_var(self):
+        declared = [
+            f"{path.relative_to(SRC).as_posix()}:{line}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line in declared_context_vars(ast.parse(path.read_text()))
+        ]
+        assert len(declared) == 1, "ambient ContextVars under src/: " + ", ".join(declared)
+        assert declared[0].startswith("repro/context.py:")

@@ -29,6 +29,15 @@ from repro.engine import SweepEngine, use_engine
 from repro.experiments.runner import payment_sweep
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.obs import NULL_RECORDER, MetricsRecorder, current_recorder, use_recorder
+from repro.obs.clock import MONOTONIC_CLOCK, FakeClock, current_clock, use_clock
+from repro.privacy.budget import NULL_BUDGET_SCOPE, current_budget_scope
+from repro.resilience import (
+    RESILIENCE_OFF,
+    ResilienceConfig,
+    RetryPolicy,
+    current_resilience,
+    use_resilience,
+)
 from repro.utils.pool import pool_map, shared_process_pool, shutdown_shared_pools
 from repro.workloads import SETTING_I
 
@@ -54,6 +63,19 @@ class NullRecorderOnly(DPHSRCAuction):
     def run(self, instance, seed=None):
         if current_recorder() is not NULL_RECORDER:
             raise RuntimeError("unit inherited a recording recorder")
+        return super().run(instance, seed)
+
+
+class ProbesAmbient(DPHSRCAuction):
+    """DP-hSRC that counts, on its own recorder, what ambient state it sees."""
+
+    def run(self, instance, seed=None):
+        recorder = current_recorder()
+        if isinstance(recorder, MetricsRecorder) and "trace_id" in recorder.trace_context:
+            recorder.count("probe.stamped_recorder")
+        recorder.count("probe.default_clock", current_clock() is MONOTONIC_CLOCK)
+        recorder.count("probe.default_budget", current_budget_scope() is NULL_BUDGET_SCOPE)
+        recorder.count("probe.default_resilience", current_resilience() is RESILIENCE_OFF)
         return super().run(instance, seed)
 
 
@@ -238,6 +260,30 @@ class TestWarmBatchRunner:
             NullRecorderOnly(0.5), backend="process", max_workers=WIDTH
         ).run(batch, seed=1, recorder=NULL_RECORDER)
         assert probe.n_failed == 0
+
+    def test_pooled_units_see_their_own_recorder_and_default_policy(self, batch):
+        sink = MetricsRecorder()
+        retry_only = ResilienceConfig(
+            retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0)
+        )
+        with use_clock(FakeClock()), use_resilience(retry_only):
+            result = BatchAuctionRunner(
+                ProbesAmbient(0.5), backend="process", max_workers=WIDTH
+            ).run(batch, seed=1, recorder=sink)
+        assert (result.backend, result.failed) == ("process", ())
+        n = len(batch)
+        probes = {k: v for k, v in sink.counters.items() if k.startswith("probe.")}
+        assert probes == {
+            "probe.stamped_recorder": n,
+            "probe.default_clock": n,
+            "probe.default_budget": n,
+            "probe.default_resilience": n,
+        }
+        samples = [span for span in sink.spans if span.kind == "sample"]
+        assert sorted(span.attrs["unit"] for span in samples) == list(range(n))
+        assert {span.attrs["trace_id"] for span in samples} == {result.trace_id}
+        # Timed by the workers' real clock, not the parent's fake one.
+        assert sum(span.seconds for span in samples) > 0.0
 
     def test_warm_workers_keep_at_most_one_batch_attached(self, batch):
         runner = BatchAuctionRunner(
