@@ -20,12 +20,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from repro.auction.instance import AuctionInstance
-from repro.auction.outcome import AuctionOutcome
+from repro.auction.outcome import AuctionOutcome, _check_winner_ids, _sorted_winner_ids
 from repro.exceptions import ValidationError
 from repro.utils import validation
 from repro.utils.rng import RngLike, ensure_rng
@@ -33,28 +32,43 @@ from repro.utils.rng import RngLike, ensure_rng
 __all__ = ["PricePMF", "Mechanism"]
 
 
-def _sorted_winner_ids(winners) -> np.ndarray:
-    """A winner set as a fresh sorted ``int`` array."""
-    ids = np.asarray(winners).ravel()
-    if ids.dtype.kind == "i":
-        return np.sort(ids).astype(int, copy=False)
-    return np.array(sorted(int(i) for i in ids), dtype=int)
+def _settled_probabilities(probs: np.ndarray) -> np.ndarray:
+    """Check a probability vector's values; return it clipped at 0, read-only."""
+    if np.any(probs < -1e-12):
+        raise ValidationError("probabilities must be non-negative")
+    total = float(np.sum(probs))
+    # np.isclose(total, 1.0, atol=1e-9)'s test in scalar arithmetic: np.isclose
+    # on one float costs more than the rest of this check.
+    if not abs(total - 1.0) <= 1e-9 + 1e-5 * 1.0:
+        raise ValidationError(f"probabilities must sum to 1, got {total}")
+    probs = np.clip(probs, 0.0, None)
+    probs.setflags(write=False)
+    return probs
 
 
 @dataclass(frozen=True)
 class PricePMF:
     """Exact outcome distribution of a single-price mechanism.
 
+    The constructor validates the support once: prices, winner sets
+    (ids in ``[0, N)`` and unique, checked once per distinct set) and
+    probabilities, with the messages :class:`AuctionOutcome` would raise
+    at a draw.  Everything built from a PMF afterwards trusts that
+    support: :meth:`reweighted` checks only its new probability vector,
+    and :meth:`outcome_at` builds outcomes without re-checking winners.
+
     Attributes
     ----------
     prices:
-        ``(M,)`` strictly increasing feasible prices (the set ``P``).
+        ``(M,)`` strictly increasing, non-negative feasible prices (the
+        set ``P``); read-only.
     probabilities:
-        ``(M,)`` probability of each price; sums to 1.
+        ``(M,)`` probability of each price; sums to 1; read-only.
     winner_sets:
-        Tuple of ``M`` sorted integer arrays; ``winner_sets[k]`` is the
-        winner set the mechanism commits to when price ``prices[k]`` is
-        drawn.
+        Tuple of ``M`` sorted, read-only integer arrays;
+        ``winner_sets[k]`` is the winner set the mechanism commits to
+        when price ``prices[k]`` is drawn.  Prices that were given one
+        set object share one normalized array.
     n_workers:
         Number of workers in the underlying instance.
     degraded:
@@ -78,28 +92,51 @@ class PricePMF:
             raise ValidationError("a price PMF needs at least one support point")
         if np.any(np.diff(prices) <= 0):
             raise ValidationError("prices must be strictly increasing")
-        if np.any(probs < -1e-12):
-            raise ValidationError("probabilities must be non-negative")
-        total = float(np.sum(probs))
-        if not np.isclose(total, 1.0, atol=1e-9):
-            raise ValidationError(f"probabilities must sum to 1, got {total}")
+        probs = _settled_probabilities(probs)
         if len(self.winner_sets) != prices.size:
             raise ValidationError("one winner set per support price is required")
+        # Prices are increasing, so the first is the smallest.
+        if prices[0] < 0:
+            raise ValidationError(
+                f"price must be finite and non-negative, got {float(prices[0])!r}"
+            )
         # Prices of one affordable-worker group share one winner-set
-        # object: normalize each distinct object once and share the result.
+        # object: normalize and check each distinct object once and share
+        # the result.
         normalized: dict[int, np.ndarray] = {}
         for s in self.winner_sets:
             if id(s) not in normalized:
                 normalized[id(s)] = _sorted_winner_ids(s)
-        sets = tuple(normalized[id(s)] for s in self.winner_sets)
+        _check_winner_ids(list(normalized.values()), self.n_workers)
+        for ids in normalized.values():
+            ids.setflags(write=False)
         prices.setflags(write=False)
-        probs.setflags(write=False)
-        for s in normalized.values():
-            s.setflags(write=False)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "probabilities", np.clip(probs, 0.0, None))
-        object.__setattr__(self, "winner_sets", sets)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(
+            self, "winner_sets", tuple(normalized[id(s)] for s in self.winner_sets)
+        )
         object.__setattr__(self, "degraded", bool(self.degraded))
+
+    def reweighted(self, probabilities, *, degraded: bool = False) -> PricePMF:
+        """This support under new probabilities: the trusted re-scoring path.
+
+        Equal, field for field, to ``PricePMF(self.prices, probabilities,
+        self.winner_sets, self.n_workers, degraded)``, but only the
+        probability vector is checked (length, finiteness, non-negativity,
+        sum, with the constructor's messages).  The read-only prices and
+        winner-set arrays are shared, not copied or re-validated.
+        """
+        probs = validation.as_float_array(probabilities, "probabilities", ndim=1)
+        if probs.shape != self.prices.shape:
+            raise ValidationError("prices and probabilities must have equal length")
+        pmf = object.__new__(PricePMF)
+        object.__setattr__(pmf, "prices", self.prices)
+        object.__setattr__(pmf, "probabilities", _settled_probabilities(probs))
+        object.__setattr__(pmf, "winner_sets", self.winner_sets)
+        object.__setattr__(pmf, "n_workers", self.n_workers)
+        object.__setattr__(pmf, "degraded", bool(degraded))
+        return pmf
 
     @property
     def support_size(self) -> int:
@@ -142,12 +179,15 @@ class PricePMF:
         return 0.0
 
     def outcome_at(self, index: int) -> AuctionOutcome:
-        """The deterministic outcome committed to support index ``index``."""
-        return AuctionOutcome(
-            winners=self.winner_sets[index],
-            price=float(self.prices[index]),
-            n_workers=self.n_workers,
-            degraded=self.degraded,
+        """The deterministic outcome committed to support index ``index``.
+
+        Equal to ``AuctionOutcome(winners=..., price=..., n_workers=...,
+        degraded=...)`` on that support point, but its winners are the
+        PMF's checked, read-only winner set, shared rather than re-sorted
+        and re-checked on every draw.
+        """
+        return AuctionOutcome._from_validated(
+            self.winner_sets[index], float(self.prices[index]), self.n_workers, self.degraded
         )
 
     def sample_index(self, seed: RngLike = None) -> int:
@@ -237,8 +277,3 @@ class Mechanism(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def _coerce_winner_sets(sets: Sequence) -> tuple[np.ndarray, ...]:
-    """Normalize a sequence of winner sets into sorted int arrays."""
-    return tuple(np.array(sorted(int(i) for i in s), dtype=int) for s in sets)

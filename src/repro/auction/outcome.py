@@ -19,9 +19,48 @@ from repro.utils import validation
 __all__ = ["AuctionOutcome"]
 
 
+def _sorted_winner_ids(winners) -> np.ndarray:
+    """A winner set as a fresh sorted ``int`` array (never the caller's).
+
+    Non-integer input goes through ``int()`` element by element, which
+    truncates floats and rejects NaN and infinities.
+    """
+    ids = np.asarray(winners).ravel()
+    if ids.dtype.kind != "i":
+        ids = np.array([int(i) for i in ids], dtype=int)
+    return np.sort(ids).astype(int, copy=False)
+
+
+def _check_winner_ids(sets: list[np.ndarray], n_workers: int) -> None:
+    """Reject sorted winner-id arrays with an id outside ``[0, N)`` or a repeat.
+
+    The arrays are checked laid end to end in one pass (a PMF has one per
+    affordable-worker group); an equal pair straddling two arrays is not
+    a repeat.
+    """
+    ids = sets[0] if len(sets) == 1 else np.concatenate(sets)
+    if ids.size == 0:
+        return
+    if ids.min() < 0 or ids.max() >= n_workers:
+        raise ValidationError("winner indices out of range")
+    repeats = ids[1:] == ids[:-1]
+    if len(sets) > 1:
+        ends = np.cumsum([s.size for s in sets[:-1]])
+        repeats[ends[(ends > 0) & (ends < ids.size)] - 1] = False
+    if repeats.any():
+        raise ValidationError("winner indices must be unique")
+
+
 @dataclass(frozen=True)
 class AuctionOutcome:
     """The result of running a mechanism on an auction instance.
+
+    The constructor validates its input: winner ids are sorted (one NumPy
+    sort) and must lie in ``[0, N)`` without repeats (an adjacent-equality
+    test), and the price must be finite and non-negative.  Outcomes drawn
+    from a :class:`~repro.auction.mechanism.PricePMF` are built by a
+    trusted path instead, because the PMF checked its support once when it
+    was built; the two are equal field for field.
 
     Attributes
     ----------
@@ -49,11 +88,8 @@ class AuctionOutcome:
     degraded: bool = False
 
     def __post_init__(self) -> None:
-        winners = np.array(sorted(int(i) for i in np.asarray(self.winners).ravel()), dtype=int)
-        if winners.size and (winners[0] < 0 or winners[-1] >= self.n_workers):
-            raise ValidationError("winner indices out of range")
-        if winners.size != np.unique(winners).size:
-            raise ValidationError("winner indices must be unique")
+        winners = _sorted_winner_ids(self.winners)
+        _check_winner_ids([winners], self.n_workers)
         price = float(self.price)
         if not np.isfinite(price) or price < 0:
             raise ValidationError(f"price must be finite and non-negative, got {price!r}")
@@ -74,6 +110,26 @@ class AuctionOutcome:
         object.__setattr__(self, "price", price)
         object.__setattr__(self, "payments", payments)
         object.__setattr__(self, "degraded", bool(self.degraded))
+
+    @classmethod
+    def _from_validated(
+        cls, winners: np.ndarray, price: float, n_workers: int, degraded: bool
+    ) -> AuctionOutcome:
+        """The trusted constructor behind ``PricePMF.outcome_at``: no check.
+
+        ``winners`` is a PMF's checked, read-only winner set (shared, not
+        copied) and ``price`` one of its support prices.
+        """
+        payments = np.zeros(n_workers, dtype=float)
+        payments[winners] = price
+        payments.setflags(write=False)
+        outcome = object.__new__(cls)
+        object.__setattr__(outcome, "winners", winners)
+        object.__setattr__(outcome, "price", price)
+        object.__setattr__(outcome, "n_workers", n_workers)
+        object.__setattr__(outcome, "payments", payments)
+        object.__setattr__(outcome, "degraded", degraded)
+        return outcome
 
     @cached_property
     def winner_set(self) -> frozenset[int]:

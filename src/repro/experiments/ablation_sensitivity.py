@@ -43,12 +43,7 @@ def _rescored(pmf: PricePMF, epsilon: float, sensitivity: float) -> PricePMF:
     mech = ExponentialMechanism(
         scores=-pmf.total_payments, epsilon=epsilon, sensitivity=sensitivity
     )
-    return PricePMF(
-        prices=pmf.prices,
-        probabilities=mech.probabilities,
-        winner_sets=pmf.winner_sets,
-        n_workers=pmf.n_workers,
-    )
+    return pmf.reweighted(mech.probabilities)
 
 
 def run(

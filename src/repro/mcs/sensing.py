@@ -68,8 +68,16 @@ def collect_labels(
     numpy.ndarray
         ``(N, K)`` integer matrix: ±1 where assigned, 0 elsewhere.
     """
-    skills = validation.as_float_array(skills, "skills", ndim=2)
-    validation.require_in_unit_interval(skills, "skills")
+    # Read in place (a pool's skills were validated when it was built) and
+    # accept on one min/max pass, which NaN also fails; the full checks run
+    # only to word a rejection.
+    skills = np.asarray(skills, dtype=float)
+    if skills.ndim != 2 or (
+        skills.size and not (skills.min() >= 0.0 and skills.max() <= 1.0)
+    ):
+        validation.require_in_unit_interval(
+            validation.as_float_array(skills, "skills", ndim=2), "skills"
+        )
     true_labels = np.asarray(true_labels, dtype=int)
     if true_labels.ndim != 1 or not np.all(np.isin(true_labels, (-1, 1))):
         raise ValidationError("true_labels must be a 1-D array of ±1")

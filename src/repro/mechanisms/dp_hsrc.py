@@ -209,7 +209,9 @@ def reweight_pmf(pmf: PricePMF, instance: AuctionInstance, epsilon: float) -> Pr
     exponential-mechanism price draw does — so sweeping ε (Figure 5, the
     sensitivity ablation) can reuse one winner-set computation and merely
     re-score the support.  Returns a new :class:`PricePMF` over the same
-    (price, winner-set) support with probabilities for ``epsilon``.
+    (price, winner-set) support with probabilities for ``epsilon``, built
+    by :meth:`PricePMF.reweighted`: the support was validated when
+    ``pmf`` was built, so only the new probability vector is checked.
 
     There is no cheaper mechanism to fall back to for a re-scoring, so
     under the ``degrade`` admission policy an exhausted tenant still gets
@@ -242,10 +244,4 @@ def reweight_pmf(pmf: PricePMF, instance: AuctionInstance, epsilon: float) -> Pr
         support_size=pmf.support_size,
         **extra,
     )
-    return PricePMF(
-        prices=pmf.prices,
-        probabilities=probabilities,
-        winner_sets=pmf.winner_sets,
-        n_workers=pmf.n_workers,
-        degraded=degraded,
-    )
+    return pmf.reweighted(probabilities, degraded=degraded)

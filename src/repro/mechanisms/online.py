@@ -353,7 +353,10 @@ class OnlineThresholdMechanism:
             return math.inf
         gains = static_gains(instance)[sample]
         bids = instance.prices[sample]
-        density = np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
+        # A tiny positive bid overflows its density to inf, which ranks it
+        # first, as a zero bid is ranked: expected, so not warned about.
+        with np.errstate(over="ignore"):
+            density = np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
         order = np.lexsort((sample, -density))
         cumulative = np.cumsum(bids[order])
         value = float(gains[order][cumulative <= allocation].sum())

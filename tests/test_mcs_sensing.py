@@ -79,3 +79,28 @@ class TestCollectLabels:
             collect_labels(
                 np.full((1, 1), 0.5), np.array([0]), np.ones((1, 1), bool)
             )
+
+    @pytest.mark.parametrize(
+        "skills, match",
+        [
+            (np.array([[0.5, np.nan]]), "finite"),
+            (np.array([[np.inf, 0.5]]), "finite"),
+            (np.array([[np.nan, 1.5]]), "finite"),
+            (np.array([[0.5, 1.5]]), r"\[0, 1\]"),
+            (np.array([[-0.1, 0.5]]), r"\[0, 1\]"),
+            (np.full(2, 0.5), "2-dimensional"),
+        ],
+    )
+    def test_bad_skills_rejected_with_the_validation_messages(self, skills, match):
+        n_tasks = skills.shape[-1]
+        with pytest.raises(ValidationError, match=match):
+            collect_labels(skills, np.ones(n_tasks, int), np.ones(skills.shape, bool), seed=0)
+
+    def test_read_only_and_integer_skills_accepted(self):
+        truth = np.array([1, -1, 1])
+        assignments = np.ones((2, 3), bool)
+        frozen = np.full((2, 3), 1.0)
+        frozen.setflags(write=False)
+        a = collect_labels(frozen, truth, assignments, seed=7)
+        b = collect_labels(np.ones((2, 3), dtype=int), truth, assignments, seed=7)
+        assert np.array_equal(a, b) and np.array_equal(a[0], truth)

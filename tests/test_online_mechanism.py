@@ -50,6 +50,24 @@ def tiny_setting_module():
     )
 
 
+class TestCalibrationWithATinyBid:
+    def test_tiny_bid_ranks_like_a_zero_bid_without_warning(self, market):
+        """A positive bid whose density overflows ranks first, silently."""
+        import warnings
+
+        mechanism = OnlineThresholdMechanism(budget=60.0, n_stages=3)
+        bundle = sorted(market.bids[3].bundle)
+        tiny = market.replace_bid(3, Bid(bundle, 1e-310))
+        zero = market.replace_bid(3, Bid(bundle, 0.0))
+        sample = np.arange(market.n_workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold = mechanism._calibrate(tiny, sample, 30.0, None, None)
+            outcome = mechanism.run(OnlineArrivalStream(tiny, order="uniform", seed=2))
+        assert threshold == mechanism._calibrate(zero, sample, 30.0, None, None)
+        assert math.isfinite(threshold) and outcome.spent <= 60.0
+
+
 class TestArrivalStream:
     def test_every_order_is_a_permutation_of_survivors(self, market):
         for order in ARRIVAL_ORDERS:
