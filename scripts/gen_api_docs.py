@@ -5,14 +5,16 @@ Walks every public package, lists each module's ``__all__`` exports with
 their signatures and first docstring paragraph.  Run from the repository
 root::
 
-    python scripts/gen_api_docs.py
+    python scripts/gen_api_docs.py [OUT]
 
-The output is committed (docs/API.md) so the reference stays browsable
-without tooling; re-run after changing any public API.
+``OUT`` defaults to docs/API.md.  That output is committed so the
+reference stays browsable without tooling; re-run after changing any
+public API.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import re
@@ -95,7 +97,16 @@ def describe(name: str, obj) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Generate the API reference.")
+    parser.add_argument(
+        "out",
+        nargs="?",
+        type=Path,
+        default=Path(__file__).resolve().parents[1] / "docs" / "API.md",
+        help="output path (default: docs/API.md)",
+    )
+    target = parser.parse_args(argv).out
     out: list[str] = [
         "# API reference",
         "",
@@ -113,8 +124,7 @@ def main() -> int:
             if inspect.ismodule(obj):
                 continue
             out.extend(describe(name, obj))
-    target = Path(__file__).resolve().parents[1] / "docs" / "API.md"
-    target.parent.mkdir(exist_ok=True)
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(out) + "\n", encoding="utf-8")
     print(f"wrote {target} ({len(out)} lines)")
     return 0

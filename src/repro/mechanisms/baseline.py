@@ -20,7 +20,7 @@ from repro.mechanisms.dp_hsrc import (
     payment_score_sensitivity,
 )
 from repro.obs import current_recorder
-from repro.privacy.budget.context import current_budget_scope
+from repro.privacy.budget.context import admit_draw, record_draw
 from repro.utils import validation
 
 __all__ = ["BaselineAuction"]
@@ -51,18 +51,10 @@ class BaselineAuction(Mechanism):
 
     def price_pmf(self, instance: AuctionInstance) -> PricePMF:
         """Exact (price, winner-set) distribution for ``instance``."""
-        recorder = current_recorder()
-        degraded = self.degraded
-        if not degraded:
-            scope = current_budget_scope()
-            if scope.active:
-                # The baseline is its own fallback: an exhausted tenant
-                # under the degrade policy keeps this mechanism but the
-                # draw is tagged (and charged) as degraded.
-                decision = scope.admit(mechanism=self.name, epsilon=self.epsilon)
-                if decision.degrade:
-                    recorder.count("budget.degraded")
-                    degraded = True
+        # The baseline is its own fallback: an exhausted tenant under the
+        # degrade policy keeps this mechanism, but the draw is tagged (and
+        # charged) as degraded.
+        degraded = self.degraded or admit_draw(self.name, self.epsilon)
         # static_order_cover's default order is exactly the baseline rule
         # (descending static gain, index-ascending ties), so the bare
         # kernel is this mechanism's plan-cache key in the ambient engine.
@@ -74,22 +66,19 @@ class BaselineAuction(Mechanism):
         )
 
         sensitivity = payment_score_sensitivity(instance)
-        with recorder.span(
+        with current_recorder().span(
             "exp_mech", f"{self.name}.exp_mech", support_size=plan.support_size
         ):
             probabilities = exponential_price_probabilities(
                 plan.prices * plan.cover_sizes, self.epsilon, sensitivity
             )
-        # The degraded tag is only added to the entry attrs on the
-        # fallback path, so normal baseline traces stay byte-identical.
-        extra = {"degraded": True} if degraded else {}
-        recorder.ledger.record(
+        record_draw(
             self.name,
             epsilon=self.epsilon,
             sensitivity=sensitivity,
+            degraded=degraded,
             support_size=plan.support_size,
             n_workers=instance.n_workers,
-            **extra,
         )
         return PricePMF(
             prices=plan.prices,

@@ -40,7 +40,7 @@ from repro.coverage.greedy import GreedyResult
 from repro.coverage.problem import CoverProblem
 from repro.engine.engine import current_engine
 from repro.obs import current_recorder
-from repro.privacy.budget.context import current_budget_scope
+from repro.privacy.budget.context import admit_draw, record_draw
 from repro.privacy.exponential import ExponentialMechanism
 from repro.utils import validation
 
@@ -95,12 +95,11 @@ class DPHSRCAuction(Mechanism):
         :class:`~repro.engine.SweepEngine`'s plan cache: mechanisms
         sharing a solver (e.g. every DP-hSRC variant at any ε) share one
         cached sweep per instance.
-    record_ledger:
-        Whether :meth:`price_pmf` records its exponential-mechanism
-        price draw in the ambient privacy ledger (see
-        :mod:`repro.obs`).  Default on; the permute-and-flip variant
-        turns it off for its internal winner-stage reuse, whose
-        exponential-mechanism probabilities are discarded unreleased.
+
+    Every price draw is admitted by
+    :func:`~repro.privacy.budget.context.admit_draw` and recorded by
+    :func:`~repro.privacy.budget.context.record_draw`; no option skips
+    either.  A degraded draw is served by the baseline mechanism.
 
     Examples
     --------
@@ -126,12 +125,10 @@ class DPHSRCAuction(Mechanism):
         epsilon: float,
         *,
         cover_solver: str | Callable[[CoverProblem], GreedyResult] = "auto",
-        record_ledger: bool = True,
     ) -> None:
         validation.require_positive(epsilon, "epsilon")
         self.epsilon = float(epsilon)
         self.cover_solver = resolve_cover_solver(cover_solver)
-        self.record_ledger = bool(record_ledger)
 
     def price_pmf(self, instance: AuctionInstance) -> PricePMF:
         """Exact (price, winner-set) distribution for ``instance``.
@@ -145,21 +142,14 @@ class DPHSRCAuction(Mechanism):
             the draw (``refuse`` policy on an exhausted tenant), or the
             recorded charge crosses the tenant's limit.
         """
-        recorder = current_recorder()
-        if self.record_ledger:
-            scope = current_budget_scope()
-            if scope.active:
-                decision = scope.admit(mechanism=self.name, epsilon=self.epsilon)
-                if decision.degrade:
-                    # Exhausted tenant under the degrade policy: serve the
-                    # baseline mechanism and tag the result.  Imported
-                    # lazily — baseline.py imports from this module.
-                    from repro.mechanisms.baseline import BaselineAuction
+        if admit_draw(self.name, self.epsilon):
+            # Exhausted tenant under the degrade policy: serve the tagged
+            # baseline mechanism.  Imported lazily — baseline.py imports
+            # from this module.
+            from repro.mechanisms.baseline import BaselineAuction
 
-                    recorder.count("budget.degraded")
-                    return BaselineAuction(self.epsilon, degraded=True).price_pmf(
-                        instance
-                    )
+            return BaselineAuction(self.epsilon, degraded=True).price_pmf(instance)
+        recorder = current_recorder()
         # The ε-independent sweep (price set, groups, per-group covers)
         # comes from the ambient engine: under a shared SweepEngine, N
         # mechanisms (or N ε values) on one instance pay for it once.
@@ -174,14 +164,13 @@ class DPHSRCAuction(Mechanism):
                 plan.prices * plan.cover_sizes, self.epsilon, sensitivity
             )
         recorder.count("auction.price_pmf_calls")
-        if self.record_ledger:
-            recorder.ledger.record(
-                self.name,
-                epsilon=self.epsilon,
-                sensitivity=sensitivity,
-                support_size=plan.support_size,
-                n_workers=instance.n_workers,
-            )
+        record_draw(
+            self.name,
+            epsilon=self.epsilon,
+            sensitivity=sensitivity,
+            support_size=plan.support_size,
+            n_workers=instance.n_workers,
+        )
         return PricePMF(
             prices=plan.prices,
             probabilities=probabilities,
@@ -220,28 +209,20 @@ def reweight_pmf(pmf: PricePMF, instance: AuctionInstance, epsilon: float) -> Pr
     (the same self-fallback rule the baseline mechanism uses).
     """
     validation.require_positive(epsilon, "epsilon")
-    recorder = current_recorder()
-    degraded = pmf.degraded
-    if not degraded:
-        scope = current_budget_scope()
-        if scope.active:
-            decision = scope.admit(mechanism="dp-hsrc/reweight", epsilon=float(epsilon))
-            if decision.degrade:
-                recorder.count("budget.degraded")
-                degraded = True
+    epsilon = float(epsilon)
+    degraded = pmf.degraded or admit_draw("dp-hsrc/reweight", epsilon)
     sensitivity = payment_score_sensitivity(instance)
-    with recorder.span(
+    with current_recorder().span(
         "exp_mech", "dp-hsrc.reweight", support_size=pmf.support_size
     ):
         probabilities = exponential_price_probabilities(
             pmf.total_payments, epsilon, sensitivity
         )
-    extra = {"degraded": True} if degraded else {}
-    recorder.ledger.record(
+    record_draw(
         "dp-hsrc/reweight",
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         sensitivity=sensitivity,
+        degraded=degraded,
         support_size=pmf.support_size,
-        **extra,
     )
     return pmf.reweighted(probabilities, degraded=degraded)

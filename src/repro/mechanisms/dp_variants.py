@@ -15,10 +15,12 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.auction.mechanism import Mechanism, PricePMF
 from repro.auction.outcome import AuctionOutcome
+from repro.coverage.dispatch import resolve_cover_solver
+from repro.engine.engine import current_engine
 from repro.mechanisms.baseline import BaselineAuction
-from repro.mechanisms.dp_hsrc import DPHSRCAuction, payment_score_sensitivity
+from repro.mechanisms.dp_hsrc import payment_score_sensitivity
 from repro.obs import current_recorder
-from repro.privacy.budget.context import current_budget_scope
+from repro.privacy.budget.context import admit_draw, record_draw
 from repro.privacy.selection import (
     permute_and_flip_pmf_exact,
     permute_and_flip_pmf_monte_carlo,
@@ -48,6 +50,12 @@ class PermuteFlipHSRCAuction(Mechanism):
     ``price_pmf`` is exact for supports of ≤ 9 prices (full permutation
     enumeration) and a documented Monte-Carlo estimate beyond that;
     :meth:`run` always samples the true mechanism.
+
+    The winner schedule is DP-hSRC's sweep plan from the ambient
+    :class:`~repro.engine.SweepEngine` (one cached plan per instance at
+    any ε).  The permute-and-flip draw, the only one released, is
+    admitted and recorded like every DP draw (see
+    :func:`~repro.privacy.budget.context.admit_draw`).
     """
 
     name = "dp-hsrc-pf"
@@ -56,50 +64,18 @@ class PermuteFlipHSRCAuction(Mechanism):
         validation.require_positive(epsilon, "epsilon")
         self.epsilon = float(epsilon)
         self.pmf_samples = int(pmf_samples)
-        # The winner stage's exponential-mechanism probabilities are
-        # discarded unreleased, so it must not record ledger spending —
-        # this mechanism records its own permute-and-flip draw instead.
-        self._winner_stage = DPHSRCAuction(epsilon=epsilon, record_ledger=False)
-
-    def _winner_schedule(self, instance: AuctionInstance) -> PricePMF:
-        """Prices, winner sets, and payment scores (ε-independent).
-
-        Routed through the internal DP-hSRC winner stage, whose sweep
-        comes from the ambient :class:`~repro.engine.SweepEngine` — so
-        under a shared engine, every permute-and-flip variant (and the
-        exponential-mechanism original) reuses one cached plan per
-        instance regardless of ε.
-        """
-        return self._winner_stage.price_pmf(instance)
-
-    def _admit_or_degrade(self) -> bool:
-        """Consult the ambient budget admission controller.
-
-        Returns ``True`` when this draw should fall back to the degraded
-        baseline mechanism; raises on the ``refuse`` policy.  The internal
-        winner stage runs with ``record_ledger=False`` so only this
-        mechanism's own released draw is admitted and charged.
-        """
-        scope = current_budget_scope()
-        if not scope.active:
-            return False
-        decision = scope.admit(mechanism=self.name, epsilon=self.epsilon)
-        if decision.degrade:
-            current_recorder().count("budget.degraded")
-        return decision.degrade
 
     def price_pmf(self, instance: AuctionInstance) -> PricePMF:
         """Exact (small support) or Monte-Carlo (large support) PMF."""
-        recorder = current_recorder()
-        if self._admit_or_degrade():
+        if admit_draw(self.name, self.epsilon):
             return BaselineAuction(self.epsilon, degraded=True).price_pmf(instance)
-        schedule = self._winner_schedule(instance)
-        scores = -schedule.total_payments
+        plan = current_engine().plan(instance, resolve_cover_solver("auto"), label="dp-hsrc")
+        scores = -plan.total_payments
         sensitivity = payment_score_sensitivity(instance)
-        with recorder.span(
-            "exp_mech", f"{self.name}.permute_flip", support_size=schedule.support_size
+        with current_recorder().span(
+            "exp_mech", f"{self.name}.permute_flip", support_size=plan.support_size
         ):
-            if schedule.support_size <= 9:
+            if plan.support_size <= 9:
                 probs = permute_and_flip_pmf_exact(scores, self.epsilon, sensitivity)
             else:
                 probs = permute_and_flip_pmf_monte_carlo(
@@ -109,42 +85,46 @@ class PermuteFlipHSRCAuction(Mechanism):
             # Guard against Monte-Carlo zero cells breaking the PMF contract.
             probs = np.clip(probs, 0.0, None)
             probs = probs / probs.sum()
-        recorder.ledger.record(
+        record_draw(
             self.name,
             epsilon=self.epsilon,
             sensitivity=sensitivity,
-            support_size=schedule.support_size,
-            n_workers=schedule.n_workers,
+            support_size=plan.support_size,
+            n_workers=instance.n_workers,
         )
         return PricePMF(
-            prices=schedule.prices,
+            prices=plan.prices,
             probabilities=probs,
-            winner_sets=schedule.winner_sets,
-            n_workers=schedule.n_workers,
+            winner_sets=plan.winner_sets,
+            n_workers=instance.n_workers,
         )
 
     def run(self, instance: AuctionInstance, seed: RngLike = None) -> AuctionOutcome:
         """Sample the true permute-and-flip mechanism (always exact)."""
-        recorder = current_recorder()
-        if self._admit_or_degrade():
+        if admit_draw(self.name, self.epsilon):
             return BaselineAuction(self.epsilon, degraded=True).run(instance, seed)
-        schedule = self._winner_schedule(instance)
+        recorder = current_recorder()
+        plan = current_engine().plan(instance, resolve_cover_solver("auto"), label="dp-hsrc")
         sensitivity = payment_score_sensitivity(instance)
         with recorder.span(
-            "sample", f"{self.name}.sample", support_size=schedule.support_size
+            "sample", f"{self.name}.sample", support_size=plan.support_size
         ):
             index = permute_and_flip_sample(
-                -schedule.total_payments,
+                -plan.total_payments,
                 self.epsilon,
                 sensitivity,
                 seed=seed,
             )
         recorder.count("auction.runs")
-        recorder.ledger.record(
+        record_draw(
             self.name,
             epsilon=self.epsilon,
             sensitivity=sensitivity,
-            support_size=schedule.support_size,
-            n_workers=schedule.n_workers,
+            support_size=plan.support_size,
+            n_workers=instance.n_workers,
         )
-        return schedule.outcome_at(index)
+        return AuctionOutcome(
+            winners=plan.winner_sets[index],
+            price=float(plan.prices[index]),
+            n_workers=instance.n_workers,
+        )

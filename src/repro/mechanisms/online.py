@@ -59,14 +59,14 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import ValidationError
 from repro.obs import current_recorder
-from repro.privacy.budget.context import current_budget_scope
+from repro.privacy.budget.context import admit_draw, record_draw
 from repro.privacy.composition import Composition
 from repro.privacy.exponential import ExponentialMechanism
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.faults import FaultPlan
 from repro.tolerances import DEMAND_TOL
 from repro.utils import validation
-from repro.workloads.streams import OnlineArrivalStream, static_gains
+from repro.workloads.streams import OnlineArrivalStream, static_density, static_gains
 
 __all__ = [
     "ONLINE_STATE_SCHEMA",
@@ -353,11 +353,7 @@ class OnlineThresholdMechanism:
             return math.inf
         gains = static_gains(instance)[sample]
         bids = instance.prices[sample]
-        # A tiny positive bid overflows its density to inf, which ranks it
-        # first, as a zero bid is ranked: expected, so not warned about.
-        with np.errstate(over="ignore"):
-            density = np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
-        order = np.lexsort((sample, -density))
+        order = np.lexsort((sample, -static_density(gains, bids)))
         cumulative = np.cumsum(bids[order])
         value = float(gains[order][cumulative <= allocation].sum())
         if value <= DEMAND_TOL:
@@ -576,12 +572,13 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
     post-process thresholds *and* the individual's own bid, exactly the
     release model of the paper's price-stage guarantee).
 
-    The draw is admitted through the ambient budget scope before any ε
-    is spent: ``refuse`` raises
+    Each draw is admitted before any ε is spent and then recorded, by
+    :func:`~repro.privacy.budget.context.admit_draw` and
+    :func:`~repro.privacy.budget.context.record_draw`: ``refuse`` raises
     :class:`~repro.exceptions.BudgetExceededError` pre-spend; ``degrade``
     permanently falls back to the parent's non-private calibration for
     the remaining stages, tags the outcome ``degraded=True``, and counts
-    ``budget.degraded``.
+    ``budget.degraded`` once.
 
     Parameters
     ----------
@@ -591,9 +588,6 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
         Total privacy budget ε split evenly across stages.
     n_candidates:
         Size of the public density lattice.
-    record_ledger:
-        Whether stage draws consult the ambient budget scope and record
-        in the ambient privacy ledger (default on).
     """
 
     name = "online-dp"
@@ -606,7 +600,6 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
         n_stages: int = 4,
         n_candidates: int = 32,
         fast_screen: bool = True,
-        record_ledger: bool = True,
     ) -> None:
         super().__init__(budget, n_stages=n_stages, fast_screen=fast_screen)
         validation.require_positive(epsilon, "epsilon")
@@ -614,7 +607,6 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
             raise ValidationError(f"n_candidates must be >= 2, got {n_candidates}")
         self.epsilon = float(epsilon)
         self.n_candidates = int(n_candidates)
-        self.record_ledger = bool(record_ledger)
 
     @property
     def stage_epsilon(self) -> float:
@@ -642,10 +634,7 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
         candidates = self.threshold_candidates(instance)
         if sample.size:
             gains = static_gains(instance)[sample]
-            bids = instance.prices[sample]
-            density = np.where(
-                bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf
-            )
+            density = static_density(gains, instance.prices[sample])
             counts = (density[None, :] >= candidates[:, None]).sum(axis=1)
         else:
             counts = np.zeros(candidates.size)
@@ -678,24 +667,14 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
         state: OnlineState,
         seed,
     ) -> float:
-        recorder = current_recorder()
-        if state.degraded:
+        # A degrade decision holds for the remaining stages: they calibrate
+        # without drawing, so they are not admitted again.
+        if state.degraded or admit_draw(self.name, self.stage_epsilon):
+            state.degraded = True
             return super()._calibrate(instance, sample, allocation, state, seed)
-        if self.record_ledger:
-            scope = current_budget_scope()
-            if scope.active:
-                decision = scope.admit(
-                    mechanism=self.name, epsilon=self.stage_epsilon
-                )
-                if decision.degrade:
-                    recorder.count("budget.degraded")
-                    state.degraded = True
-                    return super()._calibrate(
-                        instance, sample, allocation, state, seed
-                    )
         candidates = self.threshold_candidates(instance)
         scores = self._candidate_scores(instance, sample, allocation)
-        with recorder.span(
+        with current_recorder().span(
             "exp_mech",
             f"{self.name}.stage.{state.stage}.threshold",
             support_size=int(candidates.size),
@@ -706,15 +685,14 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
             rng = np.random.default_rng(self._stage_seed(seed, state.stage))
             index = mechanism.sample(rng)
         state.charged_epsilon = Composition(state.charged_epsilon).add(self.stage_epsilon)
-        if self.record_ledger:
-            recorder.ledger.record(
-                self.name,
-                epsilon=self.stage_epsilon,
-                sensitivity=1.0,
-                stage=int(state.stage),
-                support_size=int(candidates.size),
-                n_workers=instance.n_workers,
-            )
+        record_draw(
+            self.name,
+            epsilon=self.stage_epsilon,
+            sensitivity=1.0,
+            stage=int(state.stage),
+            support_size=int(candidates.size),
+            n_workers=instance.n_workers,
+        )
         return float(candidates[index])
 
     def calibration_pmf(

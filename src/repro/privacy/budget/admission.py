@@ -1,10 +1,11 @@
 """Budget-aware admission control for ε-consuming draws.
 
 Mechanisms consult the ambient :class:`AdmissionController` *before*
-each ε-consuming draw (see :meth:`repro.mechanisms.DPHSRCAuction.
-price_pmf`).  The controller checks the ``(tenant, principal)``
-account's remaining budget against the requested ε and applies one of
-three policies when the budget is exhausted:
+each ε-consuming draw, through
+:func:`~repro.privacy.budget.context.admit_draw`.  The controller
+checks the ``(tenant, principal)`` account's remaining budget against
+the requested ε and applies one of three policies when the budget is
+exhausted:
 
 ``refuse``
     Raise :class:`~repro.exceptions.BudgetExceededError` — carrying the

@@ -4,7 +4,9 @@ Mechanisms must not thread a budget store through every call site, so
 the active budget configuration is a :class:`BudgetScope` in the
 ambient :class:`~repro.context.RunContext`: the store, the ``(tenant,
 principal)`` account the surrounding run charges against, and the
-admission controller applying the exhaustion policy.
+admission controller applying the exhaustion policy.  Every DP draw
+goes through :func:`admit_draw` before it spends and through
+:func:`record_draw` after it; no other code admits or records a draw.
 
 The default scope wraps :data:`~repro.privacy.budget.store.
 NULL_BUDGET_STORE` — unlimited and non-recording — so every existing
@@ -31,14 +33,17 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.context import current_context, use_context
+from repro.obs import current_recorder
 from repro.privacy.budget.admission import AdmissionController, AdmissionDecision, RenewalSchedule
 from repro.privacy.budget.store import NULL_BUDGET_STORE, BudgetStore
 
 __all__ = [
     "BudgetScope",
     "NULL_BUDGET_SCOPE",
+    "admit_draw",
     "current_budget_scope",
     "current_budget_store",
+    "record_draw",
     "use_budget_scope",
     "use_budget_store",
 ]
@@ -128,6 +133,39 @@ def current_budget_scope() -> BudgetScope:
 def current_budget_store() -> BudgetStore:
     """The ambient scope's store (the null store by default)."""
     return current_budget_scope().store
+
+
+def admit_draw(mechanism: str, epsilon: float) -> bool:
+    """Admit one ε draw on the ambient scope; ``True`` means degrade.
+
+    Without a tracking store the draw is admitted at once.  ``refuse``
+    raises :class:`~repro.exceptions.BudgetExceededError` before any
+    spend; ``degrade`` counts ``budget.degraded`` on the ambient recorder
+    and returns ``True``, and the caller serves its fallback.
+    """
+    scope = current_budget_scope()
+    if not scope.active:
+        return False
+    if scope.admit(mechanism=mechanism, epsilon=epsilon).degrade:
+        current_recorder().count("budget.degraded")
+        return True
+    return False
+
+
+def record_draw(
+    mechanism: str, *, epsilon: float, sensitivity: float, degraded: bool = False, **attrs
+) -> None:
+    """Record one released ε draw in the ambient ledger, which charges the store.
+
+    A ``degraded`` draw lands in the account's audited degraded bucket
+    instead of its enforced spend; only its entry carries ``degraded:
+    True`` in the attrs, so every other entry keeps its bytes.
+    """
+    if degraded:
+        attrs["degraded"] = True
+    current_recorder().ledger.record(
+        mechanism, epsilon=epsilon, sensitivity=sensitivity, **attrs
+    )
 
 
 @contextlib.contextmanager

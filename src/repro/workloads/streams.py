@@ -42,7 +42,7 @@ import numpy as np
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import ValidationError
 
-__all__ = ["ARRIVAL_ORDERS", "OnlineArrivalStream", "static_gains"]
+__all__ = ["ARRIVAL_ORDERS", "OnlineArrivalStream", "static_density", "static_gains"]
 
 #: The arrival orderings a stream can realize.
 ARRIVAL_ORDERS = ("uniform", "as_given", "adversarial", "bursty")
@@ -58,6 +58,20 @@ def static_gains(instance: AuctionInstance) -> np.ndarray:
     threshold calibration and as a sound fast-path rejection screen.
     """
     return np.minimum(instance.effective_quality, instance.demands[None, :]).sum(axis=1)
+
+
+def static_density(gains: np.ndarray, bids: np.ndarray) -> np.ndarray:
+    """Static density ``v_i / b_i`` of workers' :func:`static_gains` at their bids.
+
+    The value per unit of ask that orders the adversarial stream and
+    calibrates the online thresholds; ``inf`` at a zero bid.  A tiny
+    positive bid overflows its density to ``inf``, which ranks it first,
+    as a zero bid is ranked: expected, so not warned about.  It takes the
+    gains rather than the instance because a calibration also sums them,
+    and :func:`static_gains` is a full ``(N, K)`` pass.
+    """
+    with np.errstate(over="ignore"):
+        return np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
 
 
 @dataclass(frozen=True)
@@ -129,8 +143,7 @@ class OnlineArrivalStream:
             seq = rng.permutation(survivors)
         elif self.order == "adversarial":
             gains = static_gains(self.instance)[survivors]
-            bids = self.instance.prices[survivors]
-            density = np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
+            density = static_density(gains, self.instance.prices[survivors])
             # Descending density, ties broken by ascending worker index.
             seq = survivors[np.lexsort((survivors, -density))]
         else:  # bursty

@@ -18,15 +18,18 @@ class TestAPIDocsFresh:
     def test_api_md_matches_generator(self, tmp_path, monkeypatch):
         committed = (REPO / "docs" / "API.md").read_text()
 
-        # Re-run the generator for real and compare against the pre-read
-        # copy (the generator is deterministic).  It calls sys.exit() when
-        # run as __main__, which is fine — 0 means success.
+        # Run the generator for real into a temporary file and compare it
+        # with the committed copy (the generator is deterministic), so a
+        # stale copy is reported, never overwritten.  It calls sys.exit()
+        # when run as __main__, which is fine — 0 means success.
+        target = tmp_path / "API.md"
+        monkeypatch.setattr(sys, "argv", ["gen_api_docs.py", str(target)])
         with pytest.raises(SystemExit) as excinfo:
             runpy.run_path(
                 str(REPO / "scripts" / "gen_api_docs.py"), run_name="__main__"
             )
         assert excinfo.value.code == 0
-        regenerated = (REPO / "docs" / "API.md").read_text()
+        regenerated = target.read_text()
         assert regenerated == committed, (
             "docs/API.md is stale; run `python scripts/gen_api_docs.py`"
         )

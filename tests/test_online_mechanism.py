@@ -235,7 +235,7 @@ class TestOnlineThresholdMechanism:
 class TestDPOnlineMechanism:
     def test_seeded_runs_are_bit_identical(self, market):
         mechanism = DPOnlineThresholdMechanism(
-            budget=110.0, epsilon=1.0, n_stages=3, record_ledger=False
+            budget=110.0, epsilon=1.0, n_stages=3
         )
         stream = OnlineArrivalStream(market, order="uniform", seed=11)
         assert mechanism.run(stream, seed=7) == mechanism.run(stream, seed=7)
@@ -274,9 +274,26 @@ class TestDPOnlineMechanism:
         assert outcome.charged_epsilon == pytest.approx(0.3)
         assert recorder.counters["budget.degraded"] == 1
 
+    @pytest.mark.parametrize("order", ["uniform", "adversarial"])
+    def test_overflowing_density_is_silent_on_every_stage(self, market, order):
+        """A 1e-310 bid's density overflows to inf without a warning."""
+        import warnings
+
+        # The uniform stream's first arrival is in every stage's sample.
+        first = int(OnlineArrivalStream(market, order="uniform", seed=11).arrivals[0])
+        tiny = market.replace_bid(first, Bid(sorted(market.bids[first].bundle), 1e-310))
+        mechanism = DPOnlineThresholdMechanism(budget=110.0, epsilon=1.0, n_stages=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            unfiltered = mechanism.run(OnlineArrivalStream(tiny, order=order, seed=11), seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = mechanism.run(OnlineArrivalStream(tiny, order=order, seed=11), seed=7)
+        assert strict == unfiltered
+
     def test_calibration_pmf_is_a_distribution(self, market):
         mechanism = DPOnlineThresholdMechanism(
-            budget=110.0, epsilon=1.0, n_stages=2, record_ledger=False
+            budget=110.0, epsilon=1.0, n_stages=2
         )
         stream = OnlineArrivalStream(market, order="uniform", seed=11)
         candidates, probabilities = mechanism.calibration_pmf(stream, stage=1)
@@ -286,7 +303,7 @@ class TestDPOnlineMechanism:
 
     def test_dp_outcome_respects_budget_and_rationality(self, market):
         mechanism = DPOnlineThresholdMechanism(
-            budget=110.0, epsilon=1.0, n_stages=3, record_ledger=False
+            budget=110.0, epsilon=1.0, n_stages=3
         )
         outcome = mechanism.run(
             OnlineArrivalStream(market, order="uniform", seed=11), seed=3

@@ -57,7 +57,7 @@ def _build(seed, budget, n_stages, order="uniform", dp_epsilon=None):
         mechanism = OnlineThresholdMechanism(budget=budget, n_stages=n_stages)
     else:
         mechanism = DPOnlineThresholdMechanism(
-            budget=budget, epsilon=dp_epsilon, n_stages=n_stages, record_ledger=False
+            budget=budget, epsilon=dp_epsilon, n_stages=n_stages
         )
     return instance, stream, mechanism
 

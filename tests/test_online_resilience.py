@@ -54,7 +54,7 @@ def mechanism(request):
     if request.param == "plain":
         return OnlineThresholdMechanism(budget=120.0, n_stages=N_STAGES)
     return DPOnlineThresholdMechanism(
-        budget=120.0, epsilon=0.9, n_stages=N_STAGES, record_ledger=False
+        budget=120.0, epsilon=0.9, n_stages=N_STAGES
     )
 
 
@@ -132,7 +132,7 @@ class TestCheckpointHygiene:
     def test_different_seed_refuses_resume(self, stream, tmp_path):
         path = tmp_path / "ck.jsonl"
         mechanism = DPOnlineThresholdMechanism(
-            budget=120.0, epsilon=0.9, n_stages=N_STAGES, record_ledger=False
+            budget=120.0, epsilon=0.9, n_stages=N_STAGES
         )
         run_checkpointed(mechanism, stream, path, seed=7)
         with pytest.raises(CheckpointError, match="seed"):

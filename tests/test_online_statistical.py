@@ -110,7 +110,7 @@ class TestCompetitiveRatio:
 
     def test_dp_variant_stays_within_bound(self, market):
         mechanism = DPOnlineThresholdMechanism(
-            budget=120.0, epsilon=1.2, n_stages=3, record_ledger=False
+            budget=120.0, epsilon=1.2, n_stages=3
         )
         report = competitive_audit(
             mechanism, market, n_permutations=max(N_PERMUTATIONS // 2, 30), seed=1
@@ -138,13 +138,12 @@ class TestDifferentialPrivacy:
     EPSILON = 1.2
     N_STAGES = 2
 
-    def _mechanism(self, record_ledger=False):
+    def _mechanism(self):
         return DPOnlineThresholdMechanism(
             budget=120.0,
             epsilon=self.EPSILON,
             n_stages=self.N_STAGES,
             n_candidates=32,
-            record_ledger=record_ledger,
         )
 
     def test_exact_per_stage_divergence_within_stage_epsilon(
@@ -182,7 +181,7 @@ class TestDifferentialPrivacy:
         self, neighbor_streams
     ):
         recorder = MetricsRecorder()
-        mechanism = self._mechanism(record_ledger=True)
+        mechanism = self._mechanism()
         with use_recorder(recorder):
             outcome = mechanism.run(neighbor_streams[0], seed=3)
         assert outcome.charged_epsilon == pytest.approx(self.EPSILON)
