@@ -728,9 +728,10 @@ def bench_batch_runner(smoke: bool, repeats: int, trace: MetricsRecorder) -> lis
         ("serial", "pickle"), ("process", "pickle"), ("process", "shared_memory")
     ):
         recorder = MetricsRecorder()
-        instrumented = BatchAuctionRunner(
-            mechanism, backend=backend, max_workers=2, transport=transport
-        ).run(batch, seed=MASTER_RUN_SEED, recorder=recorder)
+        with use_recorder(recorder):
+            instrumented = BatchAuctionRunner(
+                mechanism, backend=backend, max_workers=2, transport=transport
+            ).run(batch, seed=MASTER_RUN_SEED)
         if not same_outcomes(serial, instrumented):
             raise AssertionError(
                 f"batch outcomes diverged with a recorder installed ({backend}, {transport})"

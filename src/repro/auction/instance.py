@@ -235,6 +235,18 @@ class AuctionInstance:
         eff.setflags(write=False)
         return eff
 
+    @cached_property
+    def static_gains(self) -> np.ndarray:
+        """``(N,)`` stand-alone truncated coverage ``Σ_j min(q_ij, Q_j)`` (read-only).
+
+        What each worker contributes to an empty platform (see
+        :func:`repro.workloads.streams.static_gains`); a full ``(N, K)``
+        pass, built on first use.
+        """
+        gains = np.minimum(self.effective_quality, self.demands[None, :]).sum(axis=1)
+        gains.setflags(write=False)
+        return gains
+
     def affordable_mask(self, price: float) -> np.ndarray:
         """Boolean ``(N,)``: workers whose asking price is at most ``price``.
 

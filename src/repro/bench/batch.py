@@ -31,9 +31,10 @@ instance is bit-identical to one that never failed.  Permanent failures
 are quarantined: the instance's outcome slot is ``None`` and a typed
 :class:`~repro.exceptions.InstanceExecutionError` lands in
 :attr:`BatchRunResult.failed`, so a crash at instance ``k`` still
-returns every other instance's outcome.  A seeded
-:class:`~repro.resilience.FaultPlan` can inject failures for chaos
-testing; a poisoned outcome is caught by
+returns every other instance's outcome.  The retry policy and a seeded
+:class:`~repro.resilience.FaultPlan` (for chaos testing) come from the
+ambient :func:`~repro.resilience.use_resilience` config in force when
+the batch runs; a poisoned outcome is caught by
 :func:`~repro.resilience.ensure_outcome_sane`.  Fault, retry, and
 quarantine events are threaded through the ambient :mod:`repro.obs`
 recorder (``resilience.*`` counters and ``batch.retry.<mechanism>``
@@ -53,7 +54,7 @@ import time
 # ``run`` would leave open.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,12 +64,9 @@ from repro.auction.outcome import AuctionOutcome
 from repro.engine.engine import scoped_engine, use_engine
 from repro.exceptions import InstanceExecutionError
 from repro.bench.shm import SharedBatchHandle, SharedInstanceBatch, attach_batch
-from repro.obs import MetricsRecorder, Recorder, current_recorder
+from repro.obs import MetricsRecorder
 from repro.privacy.budget.context import current_budget_scope, use_budget_scope
-from repro.resilience.context import current_resilience
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
 from repro.utils.rng import RngLike, spawn_seed_sequences
 
 __all__ = ["BatchAuctionRunner", "BatchRunResult"]
@@ -214,9 +212,8 @@ class BatchRunResult:
         """
         if self.metrics is None:
             raise ValueError(
-                "batch ran without a recording recorder; pass a "
-                "MetricsRecorder (or install one with use_recorder) to "
-                "collect metrics"
+                "batch ran without a recording recorder; install a "
+                "MetricsRecorder with use_recorder to collect metrics"
             )
         from repro.obs.export import render_openmetrics
 
@@ -261,23 +258,17 @@ class BatchAuctionRunner:
         its own view of the segment.  The segment is closed and
         unlinked in a ``finally``, so no ``/dev/shm`` entry survives the
         call.
-    retry:
-        :class:`~repro.resilience.RetryPolicy` for transient instance
-        failures.  ``None`` falls back to the ambient
-        :func:`~repro.resilience.current_resilience` config (off by
-        default).  Retries re-run with the instance's original seed, so
-        a recovered instance is bit-identical to a never-failed one.
-    fault_plan:
-        Seeded :class:`~repro.resilience.FaultPlan` injected into the
-        per-instance execution path (chaos testing).  ``None`` falls
-        back to the ambient config.
     on_error:
         ``"quarantine"`` (default) turns a permanently failed instance
         into a ``None`` outcome slot plus an entry in
         :attr:`BatchRunResult.failed`; ``"raise"`` propagates the
         :class:`~repro.exceptions.InstanceExecutionError` instead.
-    sleep:
-        Injection point for the backoff sleep (tests pass a stub).
+
+    The retry policy and fault plan are the ambient
+    :func:`~repro.resilience.current_resilience` config's when
+    :meth:`run` is called (off by default).  Retries re-run with the
+    instance's original seed, so a recovered instance is bit-identical
+    to a never-failed one.
 
     Examples
     --------
@@ -302,10 +293,7 @@ class BatchAuctionRunner:
         max_workers: int | None = None,
         process_threshold: int = 8,
         transport: str = "pickle",
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
         on_error: str = "quarantine",
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
@@ -322,10 +310,7 @@ class BatchAuctionRunner:
         self.transport = transport
         self.max_workers = max_workers
         self.process_threshold = int(process_threshold)
-        self.retry = retry
-        self.fault_plan = fault_plan
         self.on_error = on_error
-        self._sleep = sleep
 
     def _resolve(self, n_instances: int) -> tuple[str, int]:
         """Pick the concrete backend and worker count for a batch size."""
@@ -345,7 +330,6 @@ class BatchAuctionRunner:
         instances: Sequence[AuctionInstance],
         seed: Union[RngLike, np.random.SeedSequence] = None,
         *,
-        recorder: Recorder | None = None,
         tenants: Sequence[str] | None = None,
     ) -> BatchRunResult:
         """Execute every instance once and collect the outcomes.
@@ -360,15 +344,6 @@ class BatchAuctionRunner:
             Instance ``i`` always receives child ``i`` of the master, so
             two runs with the same master seed and batch are identical
             outcome-for-outcome on *any* backend and worker count.
-        recorder:
-            Observability sink; defaults to the ambient
-            :func:`repro.obs.current_recorder`.  When it is a recording
-            one (``enabled``), every instance runs under its own fresh
-            :class:`~repro.obs.MetricsRecorder` — on the serial path just
-            as in the pool workers — and the per-instance snapshots are
-            merged into ``recorder`` in input order, so merged counters,
-            histograms, and ledger entries are *identical* across
-            backends and worker counts.  Outcomes are never affected.
         tenants:
             Optional per-instance tenant names (same length as
             ``instances``).  Instance ``i`` runs under the ambient
@@ -388,6 +363,15 @@ class BatchAuctionRunner:
 
         Notes
         -----
+        The observability sink is the ambient
+        :func:`repro.obs.current_recorder`.  When it is a
+        :class:`~repro.obs.MetricsRecorder`, every instance runs under its
+        own fresh recorder — on the serial path just as in the pool
+        workers — and the per-instance snapshots are merged into the sink
+        in input order, so merged counters, histograms, and ledger
+        entries are *identical* across backends and worker counts.
+        Outcomes are never affected.
+
         With an *active* ambient budget store the batch always runs on
         the serial backend, which keeps each charge's admission decision
         ordered (the executor's in-process rule, see
@@ -404,13 +388,7 @@ class BatchAuctionRunner:
         n = len(instances)
         seeds = spawn_seed_sequences(seed, n)
         backend, workers = self._resolve(n)
-        ambient = current_resilience()
-        executor = ResilientExecutor(
-            retry=self.retry if self.retry is not None else ambient.retry,
-            fault_plan=self.fault_plan if self.fault_plan is not None else ambient.fault_plan,
-            recorder=current_recorder() if recorder is None else recorder,
-            sleep=self._sleep,
-        )
+        executor = ResilientExecutor()
         sink = executor.recorder
         # The correlation id is a function of (master entropy, batch
         # size, mechanism) only — never backend/transport/scheduling —

@@ -6,7 +6,8 @@ subsystems:
 * each cell is one :class:`~repro.resilience.ResilientExecutor` unit,
   keyed by child ``i`` of ``SeedSequence(spec.seed)`` — fault injection,
   deterministic retry, and checkpoint/resume all come for free, and a
-  killed campaign resumes bit-identically at every cell boundary;
+  killed campaign resumes bit-identically at every cell boundary; the
+  ambient resilience config's fault plan is keyed by cell index;
 * the checkpoint (``<dir>/checkpoint.jsonl``, schema
   ``repro-checkpoint/1``) pins the spec fingerprint in its header, so it
   can never silently resume a different grid;
@@ -28,9 +29,8 @@ which is what makes the post-resume report byte-identical.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,10 +41,7 @@ from repro.exceptions import ValidationError
 from repro.obs import MetricsRecorder, current_recorder, use_recorder
 from repro.privacy.budget.context import current_budget_scope, use_budget_scope
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
-from repro.resilience.context import current_resilience
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["CampaignRunner"]
 
@@ -59,11 +56,6 @@ class CampaignRunner:
     directory:
         The campaign's home; owns ``campaign.json``, the checkpoint, the
         per-cell artifact folders, and the final report files.
-    retry, fault_plan:
-        Resilience knobs; ``None`` falls back to the ambient
-        :func:`~repro.resilience.current_resilience` config.
-    sleep:
-        Injection point for retry backoff (tests pass a stub).
 
     Examples
     --------
@@ -79,21 +71,9 @@ class CampaignRunner:
     ['table1']
     """
 
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        directory: Union[str, Path],
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        ambient = current_resilience()
+    def __init__(self, spec: CampaignSpec, directory: Union[str, Path]) -> None:
         self.spec = spec
         self.directory = Path(directory)
-        self.retry = ambient.retry if retry is None else retry
-        self.fault_plan = ambient.fault_plan if fault_plan is None else fault_plan
-        self.sleep = sleep
 
     # -- layout ---------------------------------------------------------
 
@@ -205,12 +185,7 @@ class CampaignRunner:
             resumes after them.
         """
         self.pin_spec()
-        executor = ResilientExecutor(
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            checkpoint=self.checkpoint(),
-            sleep=self.sleep,
-        )
+        executor = ResilientExecutor(checkpoint=self.checkpoint())
         context = CellContext(
             campaign=self.spec.name, fast=self.spec.fast, seed=self.spec.seed
         )

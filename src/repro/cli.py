@@ -397,7 +397,7 @@ def _online_main(argv: Sequence[str]) -> int:
         run_checkpointed,
     )
     from repro.privacy.budget import InMemoryBudgetStore, use_budget_store
-    from repro.resilience import FaultPlan
+    from repro.resilience import FaultPlan, ResilienceConfig, use_resilience
     from repro.resilience.faults import FaultInjectedError
     from repro.workloads import OnlineArrivalStream, generate_instance
     from repro.workloads.settings import SimulationSetting
@@ -441,15 +441,11 @@ def _online_main(argv: Sequence[str]) -> int:
         )
         with ExitStack() as stack:
             stack.enter_context(budget_scope)
+            stack.enter_context(use_resilience(ResilienceConfig(fault_plan=fault_plan)))
             if args.resume is not None:
-                outcome = run_checkpointed(
-                    mechanism, stream, args.resume,
-                    seed=args.seed, fault_plan=fault_plan,
-                )
+                outcome = run_checkpointed(mechanism, stream, args.resume, seed=args.seed)
             else:
-                outcome = mechanism.run(
-                    stream, seed=args.seed, fault_plan=fault_plan
-                )
+                outcome = mechanism.run(stream, seed=args.seed)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
@@ -628,7 +624,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         JsonlBudgetStore,
         use_budget_store,
     )
-    from repro.resilience import FaultPlan, RetryPolicy
+    from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy, use_resilience
 
     directory = Path(args.dir)
     try:
@@ -689,7 +685,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    runner = CampaignRunner(spec, directory, retry=retry, fault_plan=fault_plan)
+    runner = CampaignRunner(spec, directory)
     budget_scope = (
         nullcontext()
         if budget_store is None
@@ -700,6 +696,9 @@ def _campaign_main(argv: Sequence[str]) -> int:
             if isinstance(budget_store, JsonlBudgetStore):
                 stack.enter_context(budget_store)
             stack.enter_context(budget_scope)
+            stack.enter_context(
+                use_resilience(ResilienceConfig(retry=retry, fault_plan=fault_plan))
+            )
             payloads = runner.run()
     except InstanceExecutionError as exc:
         if isinstance(exc.cause, BudgetExceededError):

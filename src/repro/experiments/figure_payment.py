@@ -27,6 +27,7 @@ import numpy as np
 from repro.auction.mechanism import Mechanism
 from repro.experiments.runner import (
     ExperimentResult,
+    _sweep_digest,
     decode_payment_stats,
     encode_payment_stats,
     payment_sweep_point,
@@ -139,27 +140,28 @@ def run_figure_spec(
     )
 
 
-def _figure_executor(name: str, seed: int, n_price_samples: int) -> ResilientExecutor:
+def _figure_executor(name: str, seed: int, n_price_samples: int, digest: str) -> ResilientExecutor:
     """The rep-unit executor for the ambient resilience config (maybe all off).
 
     Each (sweep point, repetition) pair is one unit: it retries with its
     own seed, checkpoints under its own fingerprint, and resumes
-    independently.
+    independently.  The checkpoint's name and header carry ``digest``
+    (of what the units compute), so a rerun under the same name and seed
+    with other values starts its own file.
     """
-    ambient = current_resilience()
+    directory = current_resilience().checkpoint_dir
     checkpoint = None
-    if ambient.checkpoint_dir is not None:
+    if directory is not None:
         checkpoint = SweepCheckpoint(
-            Path(ambient.checkpoint_dir) / f"{name}-seed{int(seed)}.jsonl",
+            Path(directory) / f"{name}-seed{int(seed)}-{digest}.jsonl",
             context={
                 "experiment": name,
                 "seed": int(seed),
                 "n_price_samples": int(n_price_samples),
+                "digest": digest,
             },
         )
-    return ResilientExecutor(
-        retry=ambient.retry, fault_plan=ambient.fault_plan, checkpoint=checkpoint
-    )
+    return ResilientExecutor(checkpoint=checkpoint)
 
 
 def run_payment_figure(
@@ -223,10 +225,17 @@ def run_payment_figure(
         raise ValueError(f"n_repetitions must be positive, got {n_repetitions}")
     rng = ensure_rng(seed)
     point_rngs = rng.spawn(len(sweep_values))
-    executor = _figure_executor(name, seed, n_price_samples)
+    points = [
+        (int(value), None) if sweep_axis == "workers" else (None, int(value))
+        for value in sweep_values
+    ]
+    units = [point for point in points for _ in range(n_repetitions)]
+    digest = _sweep_digest(setting, mechanisms, units, n_price_samples)
+    executor = _figure_executor(name, seed, n_price_samples, digest)
     rows = []
-    for point, (value, point_rng) in enumerate(zip(sweep_values, point_rngs)):
-        kwargs = {"n_workers": int(value)} if sweep_axis == "workers" else {"n_tasks": int(value)}
+    for point, (value, (n_workers, n_tasks), point_rng) in enumerate(
+        zip(sweep_values, points, point_rngs)
+    ):
         rep_stats = []
         for rep, rep_rng in enumerate(point_rng.spawn(n_repetitions)):
             # A spawned, unconsumed Generator is exactly its SeedSequence
@@ -239,9 +248,10 @@ def run_payment_figure(
                     lambda s=unit_seed: payment_sweep_point(
                         setting,
                         mechanisms,
+                        n_workers=n_workers,
+                        n_tasks=n_tasks,
                         n_price_samples=n_price_samples,
                         seed=np.random.default_rng(s),
-                        **kwargs,
                     ),
                     encode=encode_payment_stats,
                     decode=decode_payment_stats,

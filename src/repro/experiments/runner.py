@@ -16,22 +16,21 @@ retry, checkpoint/resume, pool fan-out and in-order metrics merge.
 
 from __future__ import annotations
 
-import time
+import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.analysis.payment import PaymentStats, sampled_payment_stats
 from repro.auction.mechanism import Mechanism
 from repro.engine.engine import scoped_engine, use_engine
-from repro.obs import Recorder, current_recorder
+from repro.obs import current_recorder
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.context import current_resilience
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
 from repro.utils.rng import RngLike, ensure_rng, ensure_seed_sequence
 from repro.utils.tables import render_table
 from repro.workloads.generator import generate_instance
@@ -185,31 +184,57 @@ def decode_payment_stats(payload: Mapping) -> dict[str, PaymentStats]:
     }
 
 
+def _sweep_digest(setting, mechanisms, points, n_price_samples) -> str:
+    """A digest of what a sweep's units compute, equal in every process.
+
+    Unit checkpoint records are keyed by seed alone, so sweeps that share
+    a seed but differ in the setting, a unit's ``(n_workers, n_tasks)``,
+    a mechanism's name, class or public scalar attributes (its ε, solver,
+    time limit…) or the sample count must not share a file.
+    """
+    described = [repr(setting), [list(point) for point in points], int(n_price_samples)]
+    for name, mechanism in mechanisms.items():
+        scalars = {
+            key: value
+            for key, value in getattr(mechanism, "__dict__", {}).items()
+            if not key.startswith("_") and isinstance(value, (bool, int, float, str, type(None)))
+        }
+        described.append([name, type(mechanism).__module__, type(mechanism).__qualname__, scalars])
+    text = json.dumps(described, sort_keys=True, default=int)
+    return hashlib.blake2s(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
 def sweep_checkpoint(
     directory: Union[str, Path],
-    seed: Union[RngLike, np.random.SeedSequence],
+    setting: SimulationSetting,
+    mechanisms: Mapping[str, Mechanism],
+    points: Sequence[tuple[int | None, int | None]],
     *,
-    n_points: int,
     n_price_samples: int,
+    seed: Union[RngLike, np.random.SeedSequence],
 ) -> SweepCheckpoint:
-    """The canonical checkpoint for one :func:`payment_sweep` invocation.
+    """The canonical checkpoint of one :func:`payment_sweep` invocation.
 
-    The file name embeds the master seed's fingerprint, so sweeps with
-    different masters never collide in one ``checkpoint_dir``; the meta
-    header pins the master fingerprint, point count, and sample count, so
+    :func:`payment_sweep` writes here when the ambient config names a
+    ``checkpoint_dir``.  The file name embeds the master seed's
+    fingerprint and a digest of the setting, the points, the mechanisms
+    and the sample count, so sweeps that differ in any of them never
+    collide in one directory; the meta header pins the same values, so
     a checkpoint can never silently resume a different sweep.
     """
     master = ensure_seed_sequence(seed)
     fingerprint = seed_fingerprint(master)
+    digest = _sweep_digest(setting, mechanisms, points, n_price_samples)
     safe = fingerprint.replace(":", "_").replace(",", "-").replace("+", "-")
-    path = Path(directory) / f"payment_sweep-{safe}-p{int(n_points)}.jsonl"
+    path = Path(directory) / f"payment_sweep-{safe}-p{len(points)}-{digest}.jsonl"
     return SweepCheckpoint(
         path,
         context={
             "sweep": "payment_sweep",
             "master": fingerprint,
-            "n_points": int(n_points),
+            "n_points": len(points),
             "n_price_samples": int(n_price_samples),
+            "digest": digest,
         },
     )
 
@@ -222,11 +247,6 @@ def payment_sweep(
     n_price_samples: int = 10_000,
     seed: Union[RngLike, np.random.SeedSequence] = None,
     max_workers: int | None = None,
-    recorder: Recorder | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    checkpoint: SweepCheckpoint | None = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> list[dict[str, PaymentStats]]:
     """Evaluate a whole Figure 1–4 sweep, optionally on a process pool.
 
@@ -235,24 +255,27 @@ def payment_sweep(
     parallel and serial paths return *identical* statistics —
     parallelism only buys wall-clock time, never changes numbers.
 
-    When a metrics ``recorder`` is supplied (or installed as the ambient
-    one via :func:`repro.obs.use_recorder`), every point runs under its
-    own fresh :class:`~repro.obs.MetricsRecorder` — serially or in the
-    pool workers alike — and the per-point snapshots merge into the sink
-    in input order, so merged metrics are backend-independent too.
+    When a :class:`~repro.obs.MetricsRecorder` is installed as the
+    ambient one (:func:`repro.obs.use_recorder`), every point runs under
+    its own fresh recorder — serially or in the pool workers alike — and
+    the per-point snapshots merge into it in input order, so merged
+    metrics are backend-independent too.
 
     Resilience (each point is one
-    :meth:`~repro.resilience.ResilientExecutor.run_units` unit):
-    transient point failures are retried in the parent with the point's
-    original child seed on the policy's deterministic backoff schedule;
-    a permanent failure raises
+    :meth:`~repro.resilience.ResilientExecutor.run_units` unit) follows
+    the ambient :func:`~repro.resilience.current_resilience` config.
+    Transient point failures are retried in the parent with the point's
+    original child seed on its retry policy's deterministic backoff
+    schedule, and its fault plan is keyed by point index (a poison fault
+    surfaces as an immediate error: a statistics dict has no outcome to
+    corrupt).  A permanent failure raises
     :class:`~repro.exceptions.InstanceExecutionError` (the sweep has no
     quarantine slot — its callers build figure tables that need every
-    point).  With a ``checkpoint``, each completed point is durably
-    appended under its seed fingerprint, already-checkpointed points are
-    skipped on the next run, and the merged results — statistics,
-    metrics, and privacy-ledger trail — are bit-identical to an
-    uninterrupted sweep.
+    point).  With a ``checkpoint_dir``, each completed point is durably
+    appended to the :func:`sweep_checkpoint` file under its seed
+    fingerprint, already-checkpointed points are skipped on the next
+    run, and the merged results — statistics, metrics, and
+    privacy-ledger trail — are bit-identical to an uninterrupted sweep.
 
     Parameters
     ----------
@@ -275,46 +298,27 @@ def payment_sweep(
         (:func:`repro.utils.pool.pool_map`).
         With an active ambient budget store (:mod:`repro.privacy.budget`)
         the sweep always runs serially regardless.
-    recorder:
-        Observability sink; defaults to the ambient recorder.
-    retry:
-        Backoff policy for transient point failures; ``None`` falls back
-        to the ambient :func:`~repro.resilience.current_resilience`
-        config (off by default).
-    fault_plan:
-        Seeded chaos schedule keyed by point index; ``None`` falls back
-        to the ambient config.  Poison faults surface as immediate
-        errors (a statistics dict has no outcome to corrupt).
-    checkpoint:
-        Explicit checkpoint file; ``None`` falls back to the ambient
-        config's ``checkpoint_dir`` (via :func:`sweep_checkpoint`), and
-        checkpointing is off when that is unset too.
-    sleep:
-        Injection point for the backoff sleep (tests pass a stub).
 
     Returns
     -------
     list of dict
         Per point, ``{mechanism name: PaymentStats}`` in input order.
     """
-    ambient = current_resilience()
+    directory = current_resilience().checkpoint_dir
     master = ensure_seed_sequence(seed)
     children = master.spawn(len(points))
-    if checkpoint is None and ambient.checkpoint_dir is not None:
-        checkpoint = sweep_checkpoint(
-            ambient.checkpoint_dir,
-            master,
-            n_points=len(points),
-            n_price_samples=n_price_samples,
-        )
-    executor = ResilientExecutor(
-        retry=ambient.retry if retry is None else retry,
-        fault_plan=ambient.fault_plan if fault_plan is None else fault_plan,
-        checkpoint=checkpoint,
-        recorder=recorder,
-        sleep=sleep,
-    )
     mechanisms = dict(mechanisms)
+    checkpoint = None
+    if directory is not None:
+        checkpoint = sweep_checkpoint(
+            directory,
+            setting,
+            mechanisms,
+            points,
+            n_price_samples=n_price_samples,
+            seed=master,
+        )
+    executor = ResilientExecutor(checkpoint=checkpoint)
     done = executor.run_units(
         _sweep_point,
         [

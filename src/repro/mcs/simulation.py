@@ -133,13 +133,17 @@ class MCSSimulation:
         Raises
         ------
         ValueError
-            If the privacy accountant's budget would be exceeded.
+            If the privacy accountant's budget would be exceeded; raised
+            before that round's auction runs, so it releases no draw.
         """
         rng = ensure_rng(seed)
         records: list[RoundRecord] = []
         for round_index in range(int(n_rounds)):
             round_rng = rng.spawn(1)[0]
             tasks, instance = self._draw_feasible_round(rng)
+            # The task draw is public; the round's price draw is not, so
+            # its ε is spent (or refused) before the draw is released.
+            spent = self.accountant.spend(self.epsilon_per_round)
             sensing = self.platform.run_round(
                 self.pool,
                 tasks,
@@ -147,7 +151,6 @@ class MCSSimulation:
                 seed=round_rng,
                 recorded_skills=self._skill_record,
             )
-            spent = self.accountant.spend(self.epsilon_per_round)
             record_error = float(
                 np.mean(np.abs(self._skill_record - self.pool.skills))
             )

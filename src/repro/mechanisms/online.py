@@ -38,6 +38,8 @@ decision on the spot.  This module implements the OMG-shaped answer
   durable stage and the resumed outcome is bit-identical to an
   uninterrupted one (per-stage randomness comes from
   ``SeedSequence(seed).spawn(n_stages)``, so no RNG state needs saving).
+  The ambient :func:`~repro.resilience.use_resilience` config's fault
+  plan, keyed by stage index, injects faults at stage boundaries.
 
 Determinism contracts (pinned by the golden suites):
 
@@ -63,10 +65,10 @@ from repro.privacy.budget.context import admit_draw, record_draw
 from repro.privacy.composition import Composition
 from repro.privacy.exponential import ExponentialMechanism
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
-from repro.resilience.faults import FaultPlan
+from repro.resilience.context import current_resilience
 from repro.tolerances import DEMAND_TOL
 from repro.utils import validation
-from repro.workloads.streams import OnlineArrivalStream, static_density, static_gains
+from repro.workloads.streams import OnlineArrivalStream, static_density
 
 __all__ = [
     "ONLINE_STATE_SCHEMA",
@@ -351,7 +353,7 @@ class OnlineThresholdMechanism:
         """
         if sample.size == 0:
             return math.inf
-        gains = static_gains(instance)[sample]
+        gains = instance.static_gains[sample]
         bids = instance.prices[sample]
         order = np.lexsort((sample, -static_density(gains, bids)))
         cumulative = np.cumsum(bids[order])
@@ -455,7 +457,7 @@ class OnlineThresholdMechanism:
             # float division is monotone in its numerator, so a worker
             # whose static offer is below her ask can never be accepted
             # by the full check below.
-            candidates = np.flatnonzero(static_gains(instance)[segment] / threshold >= bids)
+            candidates = np.flatnonzero(instance.static_gains[segment] / threshold >= bids)
         else:
             candidates = np.arange(n_seg)
 
@@ -490,24 +492,24 @@ class OnlineThresholdMechanism:
         state: OnlineState | None = None,
         upto: int | None = None,
         checkpoint: SweepCheckpoint | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> OnlineState:
         """Advance through stages ``state.stage … upto-1`` and return the state.
 
         ``checkpoint`` (if given) durably records the state after each
-        completed stage under key ``stage:<s>``.  ``fault_plan`` injects
-        a planned fault *at the start* of its target stage — i.e. after
-        the previous stage's record is durable but before any of the
-        target stage's work, modeling a kill at the stage boundary.
+        completed stage under key ``stage:<s>``.  The ambient
+        :func:`~repro.resilience.current_resilience` config's fault plan,
+        keyed by stage index, raises its planned fault *at the start* of
+        the target stage — i.e. after the previous stage's record is
+        durable but before any of the target stage's work, modeling a
+        kill at the stage boundary.
         """
+        fault_plan = current_resilience().fault_plan
         if state is None:
             state = self.initial_state(stream)
         last = self.n_stages if upto is None else min(int(upto), self.n_stages)
         for s in range(state.stage, last):
             if fault_plan is not None:
-                spec = fault_plan.spec_for(s)
-                if spec is not None and spec.fails_at(0):
-                    raise spec.build_error()
+                fault_plan.raise_if_planned(s, 0, poison_as_error=True)
             state = self.advance_stage(stream, state, seed=seed)
             if checkpoint is not None:
                 checkpoint.append(f"stage:{s}", state.to_payload(), index=s)
@@ -535,14 +537,7 @@ class OnlineThresholdMechanism:
             charged_epsilon=float(state.charged_epsilon),
         )
 
-    def run(
-        self,
-        stream: OnlineArrivalStream,
-        *,
-        seed=None,
-        checkpoint: SweepCheckpoint | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> OnlineOutcome:
+    def run(self, stream: OnlineArrivalStream, *, seed=None) -> OnlineOutcome:
         """Process the whole stream and return the committed outcome.
 
         Raises
@@ -551,10 +546,7 @@ class OnlineThresholdMechanism:
             DP variant only: the ambient admission controller refused a
             stage's ε draw under the ``refuse`` policy.
         """
-        state = self.run_stages(
-            stream, seed=seed, checkpoint=checkpoint, fault_plan=fault_plan
-        )
-        return self.finalize(stream, state)
+        return self.finalize(stream, self.run_stages(stream, seed=seed))
 
 
 class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
@@ -633,7 +625,7 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
         """Sensitivity-1 utility per candidate: ``−|C(t) − k|``."""
         candidates = self.threshold_candidates(instance)
         if sample.size:
-            gains = static_gains(instance)[sample]
+            gains = instance.static_gains[sample]
             density = static_density(gains, instance.prices[sample])
             counts = (density[None, :] >= candidates[:, None]).sum(axis=1)
         else:
@@ -722,7 +714,6 @@ def run_checkpointed(
     path,
     *,
     seed: int = 0,
-    fault_plan: FaultPlan | None = None,
 ) -> OnlineOutcome:
     """Run ``mechanism`` on ``stream`` with stage-boundary checkpointing.
 
@@ -743,9 +734,11 @@ def run_checkpointed(
         Master seed for the per-stage randomness (DP variant).  Part of
         the checkpoint context: a file written under a different seed
         refuses to resume.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan` keyed by
-        *stage index*, injected at stage boundaries (chaos testing).
+
+    Chaos testing installs a :class:`~repro.resilience.faults.FaultPlan`
+    keyed by *stage index* with :func:`~repro.resilience.use_resilience`;
+    :meth:`OnlineThresholdMechanism.run_stages` raises its faults at
+    stage boundaries.
     """
     checkpoint = SweepCheckpoint(
         path,
@@ -765,7 +758,5 @@ def run_checkpointed(
         )
         if stages:
             state = OnlineState.from_payload(records[f"stage:{stages[-1]}"]["payload"])
-    state = mechanism.run_stages(
-        stream, seed=seed, state=state, checkpoint=checkpoint, fault_plan=fault_plan
-    )
+    state = mechanism.run_stages(stream, seed=seed, state=state, checkpoint=checkpoint)
     return mechanism.finalize(stream, state)

@@ -27,30 +27,29 @@ successful outcome*:
   killed sweep resumes to results (and merged metrics and privacy-ledger
   trails) bit-identical to an uninterrupted run.
 * :mod:`repro.resilience.context` — :func:`use_resilience` /
-  :func:`current_resilience`, the ambient :class:`ResilienceConfig`
-  consumed by :class:`~repro.bench.BatchAuctionRunner`,
-  :func:`~repro.experiments.runner.payment_sweep`, and the Figure 1–4
-  driver (wired to the CLI's ``--max-retries`` / ``--resume`` /
-  ``--fault-plan`` flags).
+  :func:`current_resilience`, the ambient :class:`ResilienceConfig`:
+  the one place run policy is set (the CLI's ``--max-retries`` /
+  ``--resume`` / ``--fault-plan`` flags install it).
 * :mod:`repro.resilience.executor` — :class:`ResilientExecutor`, the
   one executor of units of work (batch instances, sweep points, figure
   repetitions, campaign cells) combining all of the above: attempt 0 of
   every unit in-process or on the shared pool, then one in-order settle
-  loop in the parent.
+  loop in the parent.  It reads the ambient config when it is built,
+  and every unit it runs sees none.
 
 Quickstart
 ----------
 >>> from repro import DPHSRCAuction
 >>> from repro.bench import BatchAuctionRunner, seeded_auction_batch
->>> from repro.resilience import FaultPlan, RetryPolicy
+>>> from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy, use_resilience
 >>> batch = seeded_auction_batch(4, n_workers=25, n_tasks=5, seed=0)
->>> runner = BatchAuctionRunner(
-...     DPHSRCAuction(epsilon=1.0),
-...     backend="serial",
-...     fault_plan=FaultPlan.parse("crash@1,transient@2"),
+>>> runner = BatchAuctionRunner(DPHSRCAuction(epsilon=1.0), backend="serial")
+>>> chaos = ResilienceConfig(
 ...     retry=RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0),
+...     fault_plan=FaultPlan.parse("crash@1,transient@2"),
 ... )
->>> result = runner.run(batch, seed=42)
+>>> with use_resilience(chaos):
+...     result = runner.run(batch, seed=42)
 >>> [f.index for f in result.failed], result.outcomes[1] is None
 ([1], True)
 >>> result.outcomes[2] is not None  # transient fault recovered via retry

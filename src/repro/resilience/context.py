@@ -1,15 +1,14 @@
 """Ambient resilience configuration: the ``resilience`` field of the run context.
 
-The execution layers (:class:`~repro.bench.BatchAuctionRunner`,
-:func:`repro.experiments.runner.payment_sweep`, the Figure 1–4 driver,
-:class:`~repro.campaign.CampaignRunner`) accept explicit
-``retry``/``fault_plan``/``checkpoint`` arguments, but a CLI run needs
-one switch that reaches every sweep an experiment performs without
-threading parameters through each registry module.
-:func:`use_resilience` installs a :class:`ResilienceConfig` as the
-``resilience`` field of the one ambient :class:`~repro.context.RunContext`,
-and the execution layers fall back to :func:`current_resilience` for any
-argument the caller left ``None``.
+The one place run policy is set.  :func:`use_resilience` installs a
+:class:`ResilienceConfig` as the ``resilience`` field of the one ambient
+:class:`~repro.context.RunContext`; every
+:class:`~repro.resilience.ResilientExecutor` reads its retry policy and
+fault plan from :func:`current_resilience` when it is built, and sweeps
+checkpoint into its ``checkpoint_dir``.  A unit of work runs under no
+config, so a fault plan applies only to the indices of the executor that
+read it: a campaign's ``crash@2`` fails cell 2, not unit 2 of a cell's
+own sweep.
 
 The default :data:`RESILIENCE_OFF` disables everything: no retries, no
 fault injection, no checkpointing, zero overhead.
@@ -43,8 +42,9 @@ class ResilienceConfig:
     retry:
         Backoff policy for transient failures (``None`` disables retry).
     fault_plan:
-        Chaos schedule injected into every batch/sweep execution path in
-        scope (``None`` injects nothing) — for testing.
+        Chaos schedule keyed by unit index (stage index for the online
+        mechanisms), injected by the executors built in scope (``None``
+        injects nothing) — for testing.
     checkpoint_dir:
         Directory where sweeps write their seed-keyed checkpoints and
         look for completed work to resume (``None`` disables

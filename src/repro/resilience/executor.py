@@ -29,8 +29,10 @@ draws were already charged to the budget store, so its ledger entries
 are kept, ahead of the unit's own.
 
 The executor alone decides what ambient state crosses a unit boundary:
-every attempt runs under the caller's :class:`~repro.context.RunContext`
-with the sink, or its own trace-stamped recorder, as its recorder; a
+an in-process attempt runs under the caller's
+:class:`~repro.context.RunContext` with the sink, or its own
+trace-stamped recorder, as its recorder and no resilience config (a
+fault plan applies only to the indices of the executor that read it); a
 pooled attempt gets only the engine's plan-cache policy (an empty clone
 of a non-default engine) and every other field at its default.
 """
@@ -47,11 +49,12 @@ import numpy as np
 
 from repro.context import RunContext, current_context, use_context
 from repro.exceptions import InstanceExecutionError
-from repro.obs import MetricsRecorder, Recorder, current_recorder
+from repro.obs import MetricsRecorder, current_recorder
 from repro.privacy.budget.context import current_budget_scope
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
-from repro.resilience.faults import FaultPlan, ensure_outcome_sane
-from repro.resilience.retry import RetryPolicy, is_transient, retry_stream
+from repro.resilience.context import current_resilience
+from repro.resilience.faults import ensure_outcome_sane
+from repro.resilience.retry import is_transient, retry_stream
 from repro.utils.pool import pool_map
 
 __all__ = ["ResilientExecutor", "UnitResults"]
@@ -123,50 +126,42 @@ class UnitResults:
 class ResilientExecutor:
     """Run keyed units with fault injection, retry, and checkpoint/resume.
 
+    The retry policy, the fault plan (keyed by unit index) and the sink
+    are the ambient :func:`~repro.resilience.current_resilience` config's
+    and :func:`repro.obs.current_recorder` when the executor is built.
+    When the sink is a :class:`~repro.obs.MetricsRecorder`, each unit
+    runs under its own fresh recorder, merged into the sink in input
+    order.
+
     Parameters
     ----------
-    retry:
-        Backoff policy for transient failures (``None`` = no retries).
-    fault_plan:
-        Chaos schedule keyed by unit index (``None`` injects nothing).
     checkpoint:
         Seed-keyed :class:`~repro.resilience.SweepCheckpoint`; completed
         units are skipped on resume and appended as they finish.
-    recorder:
-        Observability sink; defaults to the ambient
-        :func:`repro.obs.current_recorder`.  When it is a
-        :class:`~repro.obs.MetricsRecorder`, each unit runs under its own
-        fresh recorder, merged into the sink in input order.
-    sleep:
-        Injection point for the backoff sleep (tests pass a stub).
 
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.resilience import FaultPlan, ResilientExecutor, RetryPolicy
-    >>> executor = ResilientExecutor(
+    >>> from repro.resilience import (
+    ...     FaultPlan, ResilienceConfig, ResilientExecutor, RetryPolicy, use_resilience,
+    ... )
+    >>> chaos = ResilienceConfig(
     ...     retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0),
     ...     fault_plan=FaultPlan.parse("transient@0"),
     ... )
+    >>> with use_resilience(chaos):
+    ...     executor = ResilientExecutor()
     >>> seed = np.random.SeedSequence(7)
     >>> executor.run_unit(0, seed, lambda: 41 + 1)  # fails once, then recovers
     42
     """
 
-    def __init__(
-        self,
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        checkpoint: SweepCheckpoint | None = None,
-        recorder: Recorder | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.retry = retry
-        self.fault_plan = fault_plan
+    def __init__(self, *, checkpoint: SweepCheckpoint | None = None) -> None:
+        config = current_resilience()
+        self.retry = config.retry
+        self.fault_plan = config.fault_plan
         self.checkpoint = checkpoint
-        self.recorder = current_recorder() if recorder is None else recorder
-        self.sleep = sleep
+        self.recorder = current_recorder()
         self._cached = checkpoint.load() if checkpoint is not None else {}
 
     @property
@@ -242,8 +237,9 @@ class ResilientExecutor:
             logger.info("budget store active: running %d units in-process", len(pending))
             width = None
         parent = current_context()
-        # Record into the sink: _attempt snapshots any MetricsRecorder it gets.
-        inline = parent.replace(recorder=sink)
+        # Record into the sink (_attempt snapshots any MetricsRecorder it
+        # gets); a nested executor reads no resilience config.
+        inline = parent.replace(recorder=sink, resilience=None)
         pooled = RunContext(engine=None if parent.engine is None else parent.engine.fresh())
         stamp = None
         if trace_id is not None:
@@ -292,7 +288,7 @@ class ResilientExecutor:
                 delay = delays[attempt]
                 attempt += 1
                 with sink.span("retry", retry_span, index=start + i, attempt=attempt, delay=delay):
-                    self.sleep(delay)
+                    time.sleep(delay)
                 value, snapshot, error = _attempt(*task(i, attempt))
             if error is not None:
                 snapshot = {"ledger": {"budget": None, "entries": drawn}} if drawn else None

@@ -344,10 +344,10 @@ class FaultyMechanism(Mechanism):
     attempt 0), so a ``transient@2`` spec makes exactly the third call
     fail and every other call behave identically to the wrapped
     mechanism.  This is the serial-path injection point for harnesses
-    driving a mechanism directly; batch execution injects through
-    :class:`~repro.bench.BatchAuctionRunner`'s ``fault_plan`` argument
-    instead, because the call counter below does not survive pickling
-    into pool workers.
+    driving a mechanism directly; batch execution injects the plan of the
+    ambient :func:`~repro.resilience.use_resilience` config instead,
+    because the call counter below does not survive pickling into pool
+    workers.
     """
 
     def __init__(self, mechanism: Mechanism, plan: FaultPlan) -> None:

@@ -56,8 +56,11 @@ def static_gains(instance: AuctionInstance) -> np.ndarray:
     gain against any partial coverage (residual demands only shrink), so
     the online mechanisms use it both as the density statistic for
     threshold calibration and as a sound fast-path rejection screen.
+    It is the instance's read-only, once-built
+    :attr:`~repro.auction.instance.AuctionInstance.static_gains`, which
+    every stage of a run and the adversarial order read.
     """
-    return np.minimum(instance.effective_quality, instance.demands[None, :]).sum(axis=1)
+    return instance.static_gains
 
 
 def static_density(gains: np.ndarray, bids: np.ndarray) -> np.ndarray:
@@ -67,8 +70,7 @@ def static_density(gains: np.ndarray, bids: np.ndarray) -> np.ndarray:
     calibrates the online thresholds; ``inf`` at a zero bid.  A tiny
     positive bid overflows its density to ``inf``, which ranks it first,
     as a zero bid is ranked: expected, so not warned about.  It takes the
-    gains rather than the instance because a calibration also sums them,
-    and :func:`static_gains` is a full ``(N, K)`` pass.
+    gains rather than the instance because a calibration also sums them.
     """
     with np.errstate(over="ignore"):
         return np.where(bids > 0.0, gains / np.where(bids > 0.0, bids, 1.0), np.inf)
@@ -142,7 +144,7 @@ class OnlineArrivalStream:
         elif self.order == "uniform":
             seq = rng.permutation(survivors)
         elif self.order == "adversarial":
-            gains = static_gains(self.instance)[survivors]
+            gains = self.instance.static_gains[survivors]
             density = static_density(gains, self.instance.prices[survivors])
             # Descending density, ties broken by ascending worker index.
             seq = survivors[np.lexsort((survivors, -density))]

@@ -33,8 +33,8 @@ from repro.bench import (
 )
 from repro.bench.shm import SEGMENT_PREFIX
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
-from repro.obs import MetricsRecorder
-from repro.resilience import FaultPlan
+from repro.obs import MetricsRecorder, use_recorder
+from repro.resilience import FaultPlan, ResilienceConfig, use_resilience
 
 pytestmark = pytest.mark.skipif(
     not Path("/dev/shm").is_dir(), reason="requires a /dev/shm filesystem"
@@ -118,9 +118,10 @@ class TestTransportParity:
         counters = {}
         for transport in ("pickle", "shared_memory"):
             recorder = MetricsRecorder()
-            BatchAuctionRunner(
-                mechanism, backend="process", max_workers=2, transport=transport
-            ).run(batch, seed=7, recorder=recorder)
+            with use_recorder(recorder):
+                BatchAuctionRunner(
+                    mechanism, backend="process", max_workers=2, transport=transport
+                ).run(batch, seed=7)
             counters[transport] = dict(recorder.counters)
         assert counters["pickle"] == counters["shared_memory"]
 
@@ -155,13 +156,13 @@ class TestNoLeakedSegments:
 
     def _quarantine_leaves_no_segment(self, batch, mechanism, backend, plan):
         before = list_batch_segments()
-        result = BatchAuctionRunner(
-            mechanism,
-            backend=backend,
-            max_workers=2,
-            transport="shared_memory",
-            fault_plan=FaultPlan.parse(plan),
-        ).run(batch, seed=7)
+        with use_resilience(ResilienceConfig(fault_plan=FaultPlan.parse(plan))):
+            result = BatchAuctionRunner(
+                mechanism,
+                backend=backend,
+                max_workers=2,
+                transport="shared_memory",
+            ).run(batch, seed=7)
         assert list_batch_segments() == before
         assert result.n_failed == 1
         assert result.outcomes[1] is None
@@ -184,7 +185,9 @@ class TestNoLeakedSegments:
             """
             from repro.bench import BatchAuctionRunner, seeded_auction_batch
             from repro.mechanisms.dp_hsrc import DPHSRCAuction
-            from repro.resilience import FaultPlan, FaultyMechanism
+            from repro.resilience import (
+                FaultPlan, FaultyMechanism, ResilienceConfig, use_resilience,
+            )
 
             batch = seeded_auction_batch(4, n_workers=30, n_tasks=6, seed=2016)
             crash = FaultPlan.parse("crash@1")
@@ -195,10 +198,10 @@ class TestNoLeakedSegments:
             ]
             kept = []
             for mechanism, plan in cases:
-                result = BatchAuctionRunner(
-                    mechanism, backend="serial", transport="shared_memory",
-                    fault_plan=plan,
-                ).run(batch, seed=7)
+                with use_resilience(ResilienceConfig(fault_plan=plan)):
+                    result = BatchAuctionRunner(
+                        mechanism, backend="serial", transport="shared_memory",
+                    ).run(batch, seed=7)
                 assert [f.index for f in result.failed] == [1], result.failed
                 assert result.failed[0].cause.__traceback__ is not None
                 kept.append(result)

@@ -28,7 +28,7 @@ from repro.privacy.budget import (
     use_budget_store,
 )
 from repro.privacy.composition import compose
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, ResilienceConfig, use_resilience
 
 
 class TestLedgerForwarding:
@@ -140,7 +140,7 @@ class TestMultiTenantBatch:
         recorder = MetricsRecorder()
         store = InMemoryBudgetStore(limits={"rich": None, "poor": 0.5})
         with use_recorder(recorder), use_budget_store(store, on_exhausted="degrade"):
-            runner.run(instances, seed=13, tenants=self.TENANTS, recorder=recorder)
+            runner.run(instances, seed=13, tenants=self.TENANTS)
         assert recorder.counters["budget.degraded"] == 1
 
     def test_refuse_quarantines_only_the_exhausted_tenant(self):
@@ -179,10 +179,10 @@ class TestFailedAttemptsKeepTheirDraws:
             DPHSRCAuction(epsilon=0.5),
             backend="process",
             transport=transport,
-            fault_plan=FaultPlan.parse("poison@1"),
         )
         recorder, store = MetricsRecorder(), InMemoryBudgetStore()
-        with use_recorder(recorder), use_budget_store(store):
+        chaos = ResilienceConfig(fault_plan=FaultPlan.parse("poison@1"))
+        with use_resilience(chaos), use_recorder(recorder), use_budget_store(store):
             result = runner.run(seeded_auction_batch(4, n_workers=25, n_tasks=5, seed=0), seed=3)
         assert [err.index for err in result.failed] == [1]
         self._check(recorder, result, store)

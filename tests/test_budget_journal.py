@@ -20,7 +20,7 @@ from repro.privacy.budget import (
     JsonlBudgetStore,
     use_budget_store,
 )
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, ResilienceConfig, use_resilience
 
 EPS = 0.1
 N = 6
@@ -28,12 +28,8 @@ TENANTS = ["acme", "globex", "acme", "initech", "globex", "acme"]
 
 
 def _run(store, instances, tenants, fault_plan=None):
-    runner = BatchAuctionRunner(
-        DPHSRCAuction(epsilon=EPS),
-        backend="serial",
-        fault_plan=fault_plan,
-    )
-    with use_budget_store(store):
+    runner = BatchAuctionRunner(DPHSRCAuction(epsilon=EPS), backend="serial")
+    with use_resilience(ResilienceConfig(fault_plan=fault_plan)), use_budget_store(store):
         return runner.run(instances, seed=7, tenants=tenants)
 
 

@@ -20,6 +20,7 @@ from repro.exceptions import InstanceExecutionError, ValidationError
 from repro.experiments.runner import ExperimentResult
 from repro.privacy.budget import InMemoryBudgetStore, use_budget_store
 from repro.privacy.budget.context import current_budget_scope
+from repro.resilience import ResilienceConfig, use_resilience
 from repro.resilience.faults import FaultPlan
 
 
@@ -140,11 +141,10 @@ class TestKillAndResume:
         ref = CampaignRunner(spec, tmp_path / "ref")
         ref_doc = build_report(spec, ref.run())
 
-        broken = CampaignRunner(
-            spec, tmp_path / "int", fault_plan=FaultPlan.parse("crash@2")
-        )
+        broken = CampaignRunner(spec, tmp_path / "int")
         with pytest.raises(InstanceExecutionError):
-            broken.run()
+            with use_resilience(ResilienceConfig(fault_plan=FaultPlan.parse("crash@2"))):
+                broken.run()
         statuses = [s["status"] for s in broken.status()]
         assert statuses == ["done", "done", "pending", "pending"]
 

@@ -6,6 +6,7 @@ import pytest
 from repro.mcs.platform import Platform
 from repro.mcs.simulation import MCSSimulation
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
+from repro.obs import MetricsRecorder, use_recorder
 from repro.workloads.generator import generate_worker_population
 
 
@@ -43,6 +44,14 @@ class TestRun:
         sim = make_simulation(tiny_setting, budget=tiny_setting.epsilon * 2 + 1e-9)
         with pytest.raises(ValueError, match="exceed"):
             sim.run(3, seed=3)
+
+    def test_refused_round_releases_no_draw(self, tiny_setting):
+        """A round's ε is spent before its price draw: a refused round draws nothing."""
+        sim = make_simulation(tiny_setting, budget=tiny_setting.epsilon * 1.2)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder), pytest.raises(ValueError, match="exceed"):
+            sim.run(3, seed=3)
+        assert len(recorder.ledger) == 1
 
     def test_oracle_platform_has_zero_record_error(self, tiny_setting):
         sim = make_simulation(tiny_setting, estimate_skills=False)

@@ -130,13 +130,13 @@ class TestBatchBackendMetricEquality:
     def test_serial_and_process_merge_identical_metrics(self, batch):
         mechanism = DPHSRCAuction(epsilon=EPSILON)
         serial_rec = MetricsRecorder()
-        serial = BatchAuctionRunner(mechanism, backend="serial").run(
-            batch, seed=5, recorder=serial_rec
-        )
+        with use_recorder(serial_rec):
+            serial = BatchAuctionRunner(mechanism, backend="serial").run(batch, seed=5)
         pooled_rec = MetricsRecorder()
-        pooled = BatchAuctionRunner(mechanism, backend="process", max_workers=2).run(
-            batch, seed=5, recorder=pooled_rec
-        )
+        with use_recorder(pooled_rec):
+            pooled = BatchAuctionRunner(mechanism, backend="process", max_workers=2).run(
+                batch, seed=5
+            )
         for left, right in zip(serial.outcomes, pooled.outcomes):
             _assert_outcomes_identical(left, right)
         # Counters, histograms, and ledger trails merge identically;
@@ -154,7 +154,8 @@ class TestBatchBackendMetricEquality:
         mechanism = DPHSRCAuction(epsilon=EPSILON)
         runner = BatchAuctionRunner(mechanism, backend="serial")
         bare = runner.run(batch, seed=5)
-        watched = runner.run(batch, seed=5, recorder=MetricsRecorder())
+        with use_recorder(MetricsRecorder()):
+            watched = runner.run(batch, seed=5)
         for left, right in zip(bare.outcomes, watched.outcomes):
             _assert_outcomes_identical(left, right)
 
@@ -172,13 +173,11 @@ class TestSweepBackendMetricEquality:
         points = [(18, 5), (22, 5), (26, 5)]
         kwargs = dict(n_price_samples=200, seed=13)
         serial_rec = MetricsRecorder()
-        serial = payment_sweep(
-            SETTING, mechanisms, points, recorder=serial_rec, **kwargs
-        )
+        with use_recorder(serial_rec):
+            serial = payment_sweep(SETTING, mechanisms, points, **kwargs)
         pooled_rec = MetricsRecorder()
-        pooled = payment_sweep(
-            SETTING, mechanisms, points, max_workers=2, recorder=pooled_rec, **kwargs
-        )
+        with use_recorder(pooled_rec):
+            pooled = payment_sweep(SETTING, mechanisms, points, max_workers=2, **kwargs)
         for left, right in zip(serial, pooled):
             assert left.keys() == right.keys()
             for name in left:

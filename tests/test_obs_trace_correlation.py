@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench import BatchAuctionRunner, seeded_auction_batch
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
-from repro.obs import MetricsRecorder, render_trace_report
+from repro.obs import MetricsRecorder, render_trace_report, use_recorder
 
 
 @pytest.fixture(scope="module")
@@ -15,12 +15,13 @@ def batch():
 
 def _run(batch, *, backend, transport="pickle", seed=7):
     rec = MetricsRecorder()
-    result = BatchAuctionRunner(
-        DPHSRCAuction(epsilon=0.5),
-        backend=backend,
-        max_workers=2,
-        transport=transport,
-    ).run(batch, seed=seed, recorder=rec)
+    with use_recorder(rec):
+        result = BatchAuctionRunner(
+            DPHSRCAuction(epsilon=0.5),
+            backend=backend,
+            max_workers=2,
+            transport=transport,
+        ).run(batch, seed=seed)
     return result, rec
 
 

@@ -1,6 +1,7 @@
 """Tier-1 tests for the online threshold mechanisms and arrival streams."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.analysis.online import (
     offline_optimum,
 )
 from repro.auction.bids import Bid
+from repro.auction.instance import AuctionInstance
 from repro.exceptions import BudgetExceededError, ValidationError
 from repro.mechanisms.online import (
     DPOnlineThresholdMechanism,
@@ -230,6 +232,37 @@ class TestOnlineThresholdMechanism:
             OnlineThresholdMechanism(budget=0.0)
         with pytest.raises(ValidationError):
             OnlineThresholdMechanism(budget=1.0, n_stages=0)
+
+
+class TestStaticGainsPass:
+    """The ``(N, K)`` static-gain pass runs once per run, not once per stage."""
+
+    @pytest.mark.parametrize("order", ["uniform", "adversarial"])
+    @pytest.mark.parametrize("dp", [False, True])
+    @pytest.mark.parametrize("fast_screen", [True, False])
+    def test_one_pass_per_run(self, tiny_setting_module, monkeypatch, order, dp, fast_screen):
+        passes = []
+        compute = AuctionInstance.static_gains.func
+
+        def counting(instance):
+            passes.append(instance)
+            return compute(instance)
+
+        counted = cached_property(counting)
+        counted.__set_name__(AuctionInstance, "static_gains")
+        monkeypatch.setattr(AuctionInstance, "static_gains", counted)
+        instance, _pool = generate_instance(tiny_setting_module, seed=5)
+        if dp:
+            mechanism = DPOnlineThresholdMechanism(
+                budget=90.0, epsilon=0.9, n_stages=4, fast_screen=fast_screen
+            )
+        else:
+            mechanism = OnlineThresholdMechanism(
+                budget=90.0, n_stages=4, fast_screen=fast_screen
+            )
+        outcome = mechanism.run(OnlineArrivalStream(instance, order=order, seed=3), seed=1)
+        assert passes == [instance]
+        assert outcome.n_winners > 0
 
 
 class TestDPOnlineMechanism:

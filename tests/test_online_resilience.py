@@ -17,6 +17,7 @@ from repro.mechanisms.online import (
     OnlineThresholdMechanism,
     run_checkpointed,
 )
+from repro.resilience import ResilienceConfig, use_resilience
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import (
     FaultPlan,
@@ -72,14 +73,9 @@ class TestKillAndResume:
     ):
         baseline = mechanism.run(stream, seed=7)
         path = tmp_path / "ck.jsonl"
-        with pytest.raises(SimulatedCrashError):
-            run_checkpointed(
-                mechanism,
-                stream,
-                path,
-                seed=7,
-                fault_plan=FaultPlan.parse(f"crash@{kill_stage}"),
-            )
+        chaos = ResilienceConfig(fault_plan=FaultPlan.parse(f"crash@{kill_stage}"))
+        with pytest.raises(SimulatedCrashError), use_resilience(chaos):
+            run_checkpointed(mechanism, stream, path, seed=7)
         resumed = run_checkpointed(mechanism, stream, path, seed=7)
         assert resumed == baseline
 
@@ -93,14 +89,9 @@ class TestKillAndResume:
 
     def test_transient_fault_then_resume(self, mechanism, stream, tmp_path):
         path = tmp_path / "ck.jsonl"
-        with pytest.raises(TransientFaultError):
-            run_checkpointed(
-                mechanism,
-                stream,
-                path,
-                seed=7,
-                fault_plan=FaultPlan.parse("transient@1"),
-            )
+        chaos = ResilienceConfig(fault_plan=FaultPlan.parse("transient@1"))
+        with pytest.raises(TransientFaultError), use_resilience(chaos):
+            run_checkpointed(mechanism, stream, path, seed=7)
         resumed = run_checkpointed(mechanism, stream, path, seed=7)
         assert resumed == mechanism.run(stream, seed=7)
 
@@ -119,11 +110,9 @@ class TestCheckpointHygiene:
         path = tmp_path / "ck.jsonl"
         mechanism = OnlineThresholdMechanism(budget=120.0, n_stages=N_STAGES)
         baseline = mechanism.run(stream, seed=7)
-        with pytest.raises(SimulatedCrashError):
-            run_checkpointed(
-                mechanism, stream, path, seed=7,
-                fault_plan=FaultPlan.parse(f"crash@{N_STAGES - 1}"),
-            )
+        chaos = ResilienceConfig(fault_plan=FaultPlan.parse(f"crash@{N_STAGES - 1}"))
+        with pytest.raises(SimulatedCrashError), use_resilience(chaos):
+            run_checkpointed(mechanism, stream, path, seed=7)
         with path.open("a") as handle:
             handle.write('{"type": "point", "key": "stage:9", "payl')
         resumed = run_checkpointed(mechanism, stream, path, seed=7)

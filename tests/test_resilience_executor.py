@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InstanceExecutionError
-from repro.obs import MetricsRecorder, current_recorder
+from repro.obs import MetricsRecorder, current_recorder, use_recorder
 from repro.resilience import (
     FaultPlan,
     PoisonedResultError,
+    ResilienceConfig,
     ResilientExecutor,
     RetryPolicy,
     SimulatedCrashError,
     SimulatedTimeoutError,
     SweepCheckpoint,
+    use_resilience,
 )
 
 #: crash@1 and poison@6 are permanent, timeout@3 exhausts its 2 retries
@@ -63,13 +65,8 @@ def _seeds():
 def _executor(tmp_path, name):
     recorder = MetricsRecorder()
     checkpoint = SweepCheckpoint(tmp_path / f"{name}.jsonl", context={"test": "executor"})
-    executor = ResilientExecutor(
-        retry=RETRY,
-        fault_plan=PLAN,
-        checkpoint=checkpoint,
-        recorder=recorder,
-        sleep=lambda _delay: None,
-    )
+    with use_resilience(ResilienceConfig(retry=RETRY, fault_plan=PLAN)), use_recorder(recorder):
+        executor = ResilientExecutor(checkpoint=checkpoint)
     return executor, recorder, checkpoint
 
 
@@ -162,13 +159,14 @@ def test_resume_replays_the_checkpoint(tmp_path, width):
     """A second call replays the checkpointed units and runs only the others."""
     first, _, _, ckpt = _all_at_once(tmp_path, width=width, on_error="quarantine")
     recorder = MetricsRecorder()
-    resumed = ResilientExecutor(checkpoint=ckpt, recorder=recorder).run_units(
-        _unit,
-        [(float(i + 1), seed) for i, seed in enumerate(_seeds())],
-        _seeds(),
-        width=width,
-        decode=_decode,
-    )
+    with use_recorder(recorder):
+        resumed = ResilientExecutor(checkpoint=ckpt).run_units(
+            _unit,
+            [(float(i + 1), seed) for i, seed in enumerate(_seeds())],
+            _seeds(),
+            width=width,
+            decode=_decode,
+        )
     fresh = [_unit(float(i + 1), seed) for i, seed in enumerate(_seeds())]
     assert list(resumed.values) == fresh
     assert [v for v in first if v is not None] == [
@@ -204,9 +202,10 @@ def test_failed_attempt_draws_merge_ahead_and_are_checkpointed(tmp_path):
     seeds = _seeds()[:1]
     checkpoint = SweepCheckpoint(tmp_path / "draws.jsonl", context={"test": "draws"})
     recorder = MetricsRecorder()
-    done = ResilientExecutor(
-        retry=RETRY, checkpoint=checkpoint, recorder=recorder, sleep=lambda _delay: None
-    ).run_units(_DrawThenTimeOut(), [(0.1,)], seeds)
+    with use_resilience(ResilienceConfig(retry=RETRY)), use_recorder(recorder):
+        done = ResilientExecutor(checkpoint=checkpoint).run_units(
+            _DrawThenTimeOut(), [(0.1,)], seeds
+        )
     assert done.values == (0.1,)
     assert [e.attrs["call"] for e in recorder.ledger.entries] == [0, 1]
     assert done.snapshots[0]["ledger"] == recorder.ledger.snapshot()
@@ -214,9 +213,8 @@ def test_failed_attempt_draws_merge_ahead_and_are_checkpointed(tmp_path):
     assert recorder.counters["resilience.retries"] == 1
 
     resumed = MetricsRecorder()
-    ResilientExecutor(checkpoint=checkpoint, recorder=resumed).run_units(
-        _DrawThenTimeOut(), [(0.1,)], seeds
-    )
+    with use_recorder(resumed):
+        ResilientExecutor(checkpoint=checkpoint).run_units(_DrawThenTimeOut(), [(0.1,)], seeds)
     assert resumed.counters["resilience.checkpoint.hits"] == 1
     assert resumed.ledger.snapshot() == recorder.ledger.snapshot()
 
@@ -224,9 +222,10 @@ def test_failed_attempt_draws_merge_ahead_and_are_checkpointed(tmp_path):
 def test_quarantined_unit_keeps_only_its_draws():
     """A unit that never recovers contributes its ledger and nothing else."""
     recorder = MetricsRecorder()
-    done = ResilientExecutor(recorder=recorder).run_units(
-        _DrawThenTimeOut(), [(0.25,)], _seeds()[:1], on_error="quarantine"
-    )
+    with use_recorder(recorder):
+        done = ResilientExecutor().run_units(
+            _DrawThenTimeOut(), [(0.25,)], _seeds()[:1], on_error="quarantine"
+        )
     assert done.values == (None,)
     assert set(done.snapshots[0]) == {"ledger"}
     assert recorder.ledger.total_epsilon == 0.25

@@ -17,7 +17,7 @@ import pytest
 from repro import DPHSRCAuction
 from repro.bench import BatchAuctionRunner, seeded_auction_batch
 from repro.exceptions import InstanceExecutionError, TransientError, ValidationError
-from repro.obs import MetricsRecorder
+from repro.obs import MetricsRecorder, use_recorder
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -169,13 +169,13 @@ class TestBatchFaultMatrix:
             MECHANISM,
             backend=backend,
             max_workers=2 if backend == "process" else None,
-            fault_plan=FaultPlan.parse(MATRIX_PLAN),
-            retry=MATRIX_RETRY,
             transport=self.transport,
             **kwargs,
         )
         recorder = MetricsRecorder()
-        return runner.run(_batch(), seed=42, recorder=recorder), recorder
+        chaos = ResilienceConfig(retry=MATRIX_RETRY, fault_plan=FaultPlan.parse(MATRIX_PLAN))
+        with use_resilience(chaos), use_recorder(recorder):
+            return runner.run(_batch(), seed=42), recorder
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_matrix(self, backend):
@@ -259,15 +259,6 @@ class TestAmbientConfig:
         assert result.failed == ()
         clean = _clean_run()
         assert result.outcomes[0].price == clean.outcomes[0].price
-
-    def test_explicit_arguments_win_over_ambient(self):
-        config = ResilienceConfig(fault_plan=FaultPlan.parse("crash@0"))
-        runner = BatchAuctionRunner(
-            MECHANISM, backend="serial", fault_plan=FaultPlan.parse("crash@2")
-        )
-        with use_resilience(config):
-            result = runner.run(_batch(), seed=42)
-        assert tuple(f.index for f in result.failed) == (2,)
 
     def test_fault_free_runs_unchanged_by_default(self):
         """With resilience off, results match the pre-resilience contract."""

@@ -10,13 +10,18 @@ differs between an interrupted and a clean run; everything the pipeline
 itself recorded must match exactly.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, InstanceExecutionError
 from repro.experiments.figure_payment import run_payment_figure
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
-from repro.obs import MetricsRecorder
+from repro.obs import MetricsRecorder, use_recorder
 from repro.resilience import (
     CHECKPOINT_SCHEMA,
     FaultPlan,
@@ -36,9 +41,8 @@ SWEEP_KWARGS = dict(n_price_samples=100, seed=42)
 
 def _golden():
     recorder = MetricsRecorder()
-    results = payment_sweep(
-        SETTING_I, MECHS, POINTS, recorder=recorder, **SWEEP_KWARGS
-    )
+    with use_recorder(recorder):
+        results = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
     return results, recorder
 
 
@@ -77,22 +81,19 @@ class TestSweepResume:
     def _kill_and_resume(self, tmp_path, *, max_workers):
         golden_results, golden_rec = _golden()
 
-        ckpt = sweep_checkpoint(
-            tmp_path, 42, n_points=N_POINTS, n_price_samples=100
-        )
+        ckpt = sweep_checkpoint(tmp_path, SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
         # The "kill": a planned crash at point 6 aborts the sweep after
         # durably checkpointing everything that completed before it.
+        chaos = ResilienceConfig(fault_plan=FaultPlan.parse("crash@6"), checkpoint_dir=tmp_path)
         with pytest.raises(InstanceExecutionError) as info:
-            payment_sweep(
-                SETTING_I,
-                MECHS,
-                POINTS,
-                checkpoint=ckpt,
-                fault_plan=FaultPlan.parse("crash@6"),
-                recorder=MetricsRecorder(),
-                max_workers=max_workers,
-                **SWEEP_KWARGS,
-            )
+            with use_resilience(chaos), use_recorder(MetricsRecorder()):
+                payment_sweep(
+                    SETTING_I,
+                    MECHS,
+                    POINTS,
+                    max_workers=max_workers,
+                    **SWEEP_KWARGS,
+                )
         assert info.value.index == 6
         completed = ckpt.load()
         assert 0 < len(completed) < N_POINTS
@@ -100,15 +101,14 @@ class TestSweepResume:
         # The resume: same command, no fault. Cached points replay from
         # the checkpoint, fresh points re-run from their original seeds.
         resumed_rec = MetricsRecorder()
-        resumed = payment_sweep(
-            SETTING_I,
-            MECHS,
-            POINTS,
-            checkpoint=ckpt,
-            recorder=resumed_rec,
-            max_workers=max_workers,
-            **SWEEP_KWARGS,
-        )
+        with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)), use_recorder(resumed_rec):
+            resumed = payment_sweep(
+                SETTING_I,
+                MECHS,
+                POINTS,
+                max_workers=max_workers,
+                **SWEEP_KWARGS,
+            )
         assert resumed == golden_results
         assert _pipeline_counters(resumed_rec) == _pipeline_counters(golden_rec)
         assert resumed_rec.histograms == golden_rec.histograms
@@ -122,12 +122,11 @@ class TestSweepResume:
 
     def test_completed_checkpoint_skips_all_work(self, tmp_path):
         golden_results, _ = _golden()
-        ckpt = sweep_checkpoint(tmp_path, 42, n_points=N_POINTS, n_price_samples=100)
-        payment_sweep(SETTING_I, MECHS, POINTS, checkpoint=ckpt, **SWEEP_KWARGS)
+        with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)):
+            payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
         rec = MetricsRecorder()
-        replayed = payment_sweep(
-            SETTING_I, MECHS, POINTS, checkpoint=ckpt, recorder=rec, **SWEEP_KWARGS
-        )
+        with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)), use_recorder(rec):
+            replayed = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
         assert replayed == golden_results
         assert rec.counters["resilience.checkpoint.hits"] == N_POINTS
         assert "resilience.checkpoint.writes" not in rec.counters
@@ -141,6 +140,55 @@ class TestSweepResume:
             second = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
         assert first == golden_results == second
         assert list(tmp_path.glob("payment_sweep-*.jsonl"))
+
+
+class TestCheckpointIdentity:
+    """A checkpoint resumes only the sweep that wrote it.
+
+    Unit records are keyed by seed, and two sweeps with one master seed
+    share their seeds, so the file must also pin what the units compute.
+    """
+
+    def test_sweeps_differing_only_in_points_keep_their_own_results(self, tmp_path):
+        sweeps = [[(None, 3), (None, 4)], [(None, 5), (None, 6)]]
+        fresh = [payment_sweep(SETTING_I, MECHS, points, **SWEEP_KWARGS) for points in sweeps]
+        with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)):
+            resumable = [payment_sweep(SETTING_I, MECHS, points, **SWEEP_KWARGS) for points in sweeps]
+        assert resumable == fresh
+        assert len(list(tmp_path.glob("payment_sweep-*.jsonl"))) == 2
+
+    def test_figure_rerun_with_other_values_keeps_its_own_rows(self, tmp_path):
+        kwargs = dict(TestFigureResume.FIG_KWARGS, n_repetitions=1)
+        fresh = run_payment_figure(**{**kwargs, "sweep_values": [5, 6]})
+        with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)):
+            run_payment_figure(**{**kwargs, "sweep_values": [3, 4]})
+            rerun = run_payment_figure(**{**kwargs, "sweep_values": [5, 6]})
+        assert rerun.rows == fresh.rows
+
+    def test_checkpoint_name_is_the_same_in_every_process(self, tmp_path):
+        """The digest is no ``hash()``: another interpreter names the same file."""
+        script = (
+            "from repro.experiments.runner import sweep_checkpoint\n"
+            "from repro.mechanisms.dp_hsrc import DPHSRCAuction\n"
+            "from repro.workloads import SETTING_I\n"
+            "mechs = {'dp_hsrc': DPHSRCAuction(epsilon=0.1)}\n"
+            "points = [(None, 3 + i) for i in range(10)]\n"
+            "print(sweep_checkpoint('d', SETTING_I, mechs, points, n_price_samples=100, seed=42)"
+            ".path.name)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        names = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+            for hash_seed in ("1", "2")
+        }
+        assert names == {sweep_checkpoint("d", SETTING_I, MECHS, POINTS, **SWEEP_KWARGS).path.name}
 
 
 class TestCheckpointFile:

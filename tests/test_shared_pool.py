@@ -192,17 +192,17 @@ class TestWarmBatchRunner:
     def test_mixed_runs_on_one_warm_pool_match_serial(self, batch):
         mechanism = DPHSRCAuction(0.5)
         serial_rec = MetricsRecorder()
-        serial = BatchAuctionRunner(mechanism, backend="serial").run(
-            batch, seed=7, recorder=serial_rec
-        )
+        with use_recorder(serial_rec):
+            serial = BatchAuctionRunner(mechanism, backend="serial").run(batch, seed=7)
         runs = [("pickle", False), ("shared_memory", True), ("pickle", True),
                 ("shared_memory", False)]
         pool = None
         for transport, recorded in runs:
             recorder = MetricsRecorder() if recorded else NULL_RECORDER
-            result = BatchAuctionRunner(
-                mechanism, backend="process", max_workers=WIDTH, transport=transport
-            ).run(batch, seed=7, recorder=recorder)
+            with use_recorder(recorder):
+                result = BatchAuctionRunner(
+                    mechanism, backend="process", max_workers=WIDTH, transport=transport
+                ).run(batch, seed=7)
             _assert_same_outcomes(serial, result)
             if recorded:
                 assert recorder.counters == serial_rec.counters
@@ -237,10 +237,10 @@ class TestWarmBatchRunner:
             runner.run(batch, seed=1)
         with _policy(run_cache):
             serial_rec, pooled_rec = MetricsRecorder(), MetricsRecorder()
-            serial = BatchAuctionRunner(PlansTwice(0.5), backend="serial").run(
-                batch, seed=1, recorder=serial_rec
-            )
-            pooled = runner.run(batch, seed=1, recorder=pooled_rec)
+            with use_recorder(serial_rec):
+                serial = BatchAuctionRunner(PlansTwice(0.5), backend="serial").run(batch, seed=1)
+            with use_recorder(pooled_rec):
+                pooled = runner.run(batch, seed=1)
         _assert_same_outcomes(serial, pooled)
         assert pooled_rec.counters == serial_rec.counters
         n = len(batch)
@@ -256,9 +256,10 @@ class TestWarmBatchRunner:
             BatchAuctionRunner(
                 DPHSRCAuction(0.5), backend="process", max_workers=WIDTH
             ).run(batch, seed=1)
-        probe = BatchAuctionRunner(
-            NullRecorderOnly(0.5), backend="process", max_workers=WIDTH
-        ).run(batch, seed=1, recorder=NULL_RECORDER)
+        with use_recorder(NULL_RECORDER):
+            probe = BatchAuctionRunner(
+                NullRecorderOnly(0.5), backend="process", max_workers=WIDTH
+            ).run(batch, seed=1)
         assert probe.n_failed == 0
 
     def test_pooled_units_see_their_own_recorder_and_default_policy(self, batch):
@@ -266,10 +267,10 @@ class TestWarmBatchRunner:
         retry_only = ResilienceConfig(
             retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0)
         )
-        with use_clock(FakeClock()), use_resilience(retry_only):
+        with use_clock(FakeClock()), use_resilience(retry_only), use_recorder(sink):
             result = BatchAuctionRunner(
                 ProbesAmbient(0.5), backend="process", max_workers=WIDTH
-            ).run(batch, seed=1, recorder=sink)
+            ).run(batch, seed=1)
         assert (result.backend, result.failed) == ("process", ())
         n = len(batch)
         probes = {k: v for k, v in sink.counters.items() if k.startswith("probe.")}
@@ -284,6 +285,20 @@ class TestWarmBatchRunner:
         assert {span.attrs["trace_id"] for span in samples} == {result.trace_id}
         # Timed by the workers' real clock, not the parent's fake one.
         assert sum(span.seconds for span in samples) > 0.0
+
+    def test_serial_units_see_no_resilience_config(self, batch):
+        """In-process units read no resilience config either: a nested
+        executor must not reuse the batch's retry policy or fault plan."""
+        sink = MetricsRecorder()
+        retry_only = ResilienceConfig(
+            retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0)
+        )
+        with use_resilience(retry_only), use_recorder(sink):
+            result = BatchAuctionRunner(ProbesAmbient(0.5), backend="serial").run(
+                batch, seed=1
+            )
+        assert (result.backend, result.failed) == ("serial", ())
+        assert sink.counters["probe.default_resilience"] == len(batch)
 
     def test_warm_workers_keep_at_most_one_batch_attached(self, batch):
         runner = BatchAuctionRunner(
@@ -311,10 +326,11 @@ class TestWarmBatchRunner:
 class TestWarmPaymentSweep:
     def _sweep(self, max_workers):
         recorder = MetricsRecorder()
-        stats = payment_sweep(
-            SETTING_I, SWEEP_MECHANISMS, SWEEP_POINTS, n_price_samples=50, seed=1,
-            max_workers=max_workers, recorder=recorder,
-        )
+        with use_recorder(recorder):
+            stats = payment_sweep(
+                SETTING_I, SWEEP_MECHANISMS, SWEEP_POINTS, n_price_samples=50, seed=1,
+                max_workers=max_workers,
+            )
         return stats, recorder
 
     @pytest.mark.parametrize("fork_cache,run_cache", [(True, False), (False, True)])
