@@ -12,9 +12,10 @@ single price or winner set.
 
 Each instance is one unit of work for
 :class:`~repro.resilience.ResilientExecutor`, the library's one unit
-executor: attempt 0 of every instance runs first (in-process or on the
-shared pool of :mod:`repro.utils.pool`), then one loop in the parent
-settles the instances in input order.  The pool is one warm pool per
+executor: one loop in the parent settles the instances in input order.
+A serial batch runs each instance just before it settles; a process
+batch first runs attempt 0 of every instance on the shared pool of
+:mod:`repro.utils.pool`.  The pool is one warm pool per
 configured width, forked by the first process batch and reused by every
 later batch (and by parallel payment sweeps) until interpreter exit or
 :func:`~repro.utils.pool.shutdown_shared_pools`.  Each unit re-tenants

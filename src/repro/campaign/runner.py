@@ -3,11 +3,13 @@
 The :class:`CampaignRunner` is deliberately thin glue over existing
 subsystems:
 
-* each cell is one :class:`~repro.resilience.ResilientExecutor` unit,
-  keyed by child ``i`` of ``SeedSequence(spec.seed)`` — fault injection,
-  deterministic retry, and checkpoint/resume all come for free, and a
-  killed campaign resumes bit-identically at every cell boundary; the
-  ambient resilience config's fault plan is keyed by cell index;
+* the cells are the units of one in-process
+  :meth:`~repro.resilience.ResilientExecutor.run_units` call, keyed by
+  child ``i`` of ``SeedSequence(spec.seed)`` — fault injection,
+  deterministic retry, and checkpoint/resume all come for free, each
+  cell settles (and checkpoints) before the next starts, and a killed
+  campaign resumes bit-identically at every cell boundary; the ambient
+  resilience config's fault plan is keyed by cell index;
 * the checkpoint (``<dir>/checkpoint.jsonl``, schema
   ``repro-checkpoint/1``) pins the spec fingerprint in its header, so it
   can never silently resume a different grid;
@@ -185,33 +187,32 @@ class CampaignRunner:
             resumes after them.
         """
         self.pin_spec()
-        executor = ResilientExecutor(checkpoint=self.checkpoint())
         context = CellContext(
             campaign=self.spec.name, fast=self.spec.fast, seed=self.spec.seed
         )
-        payloads: dict[str, dict] = {}
-        for index, (cell, unit_seed) in enumerate(
-            zip(self.spec.cells, self._unit_seeds())
-        ):
-            kind = get_cell_kind(cell.kind)
 
-            def run_cell(cell=cell, kind=kind) -> dict:
-                cell_recorder = MetricsRecorder()
-                scope = current_budget_scope().with_tenant(cell.resolved_tenant)
-                with use_budget_scope(scope), use_recorder(cell_recorder):
-                    with cell_recorder.span("campaign_cell", cell.name, cell_kind=cell.kind):
-                        result = kind.runner(cell, context)
-                write_cell_artifacts(
-                    self.directory / "cells" / cell.name,
-                    campaign=self.spec.name,
-                    cell=cell,
-                    result=result,
-                    recorder=cell_recorder,
-                )
-                outer = current_recorder()
-                if isinstance(outer, MetricsRecorder):
-                    outer.merge_snapshot(cell_recorder.snapshot())
-                return encode_result(result)
+        def run_cell(cell, kind) -> dict:
+            cell_recorder = MetricsRecorder()
+            scope = current_budget_scope().with_tenant(cell.resolved_tenant)
+            with use_budget_scope(scope), use_recorder(cell_recorder):
+                with cell_recorder.span("campaign_cell", cell.name, cell_kind=cell.kind):
+                    result = kind.runner(cell, context)
+            write_cell_artifacts(
+                self.directory / "cells" / cell.name,
+                campaign=self.spec.name,
+                cell=cell,
+                result=result,
+                recorder=cell_recorder,
+            )
+            outer = current_recorder()
+            if isinstance(outer, MetricsRecorder):
+                outer.merge_snapshot(cell_recorder.snapshot())
+            return encode_result(result)
 
-            payloads[cell.name] = executor.run_unit(index, unit_seed, run_cell)
-        return payloads
+        cells = self.spec.cells
+        done = ResilientExecutor(checkpoint=self.checkpoint()).run_units(
+            run_cell,
+            [(cell, get_cell_kind(cell.kind)) for cell in cells],
+            self._unit_seeds(),
+        )
+        return {cell.name: payload for cell, payload in zip(cells, done.values)}

@@ -14,31 +14,25 @@ samples) that used to be copy-pasted across figure1–figure4.  The
 campaign layer's ``payment_figure`` cell kind
 (:mod:`repro.campaign.cells`) builds the same spec from cell knobs, so a
 campaign can run the methodology at any (setting, axis, scale) point.
+
+:func:`run_payment_figure` makes one
+:func:`~repro.experiments.runner.payment_sweep` call over every
+(sweep point, repetition) unit, so a figure retries, checkpoints and
+resumes exactly as a sweep does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.auction.mechanism import Mechanism
-from repro.experiments.runner import (
-    ExperimentResult,
-    _sweep_digest,
-    decode_payment_stats,
-    encode_payment_stats,
-    payment_sweep_point,
-)
+from repro.experiments.runner import ExperimentResult, payment_sweep
 from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.mechanisms.optimal import OptimalSinglePriceMechanism
-from repro.resilience.checkpoint import SweepCheckpoint
-from repro.resilience.context import current_resilience
-from repro.resilience.executor import ResilientExecutor
-from repro.utils.rng import ensure_rng, generator_seed_sequence
 from repro.workloads.settings import SETTINGS, SimulationSetting
 
 __all__ = ["PaymentFigureSpec", "run_figure_spec", "run_payment_figure"]
@@ -140,30 +134,6 @@ def run_figure_spec(
     )
 
 
-def _figure_executor(name: str, seed: int, n_price_samples: int, digest: str) -> ResilientExecutor:
-    """The rep-unit executor for the ambient resilience config (maybe all off).
-
-    Each (sweep point, repetition) pair is one unit: it retries with its
-    own seed, checkpoints under its own fingerprint, and resumes
-    independently.  The checkpoint's name and header carry ``digest``
-    (of what the units compute), so a rerun under the same name and seed
-    with other values starts its own file.
-    """
-    directory = current_resilience().checkpoint_dir
-    checkpoint = None
-    if directory is not None:
-        checkpoint = SweepCheckpoint(
-            Path(directory) / f"{name}-seed{int(seed)}-{digest}.jsonl",
-            context={
-                "experiment": name,
-                "seed": int(seed),
-                "n_price_samples": int(n_price_samples),
-                "digest": digest,
-            },
-        )
-    return ResilientExecutor(checkpoint=checkpoint)
-
-
 def run_payment_figure(
     name: str,
     title: str,
@@ -195,7 +165,11 @@ def run_payment_figure(
     n_price_samples:
         Clearing-price draws per mechanism per point (paper: 10,000).
     seed:
-        Master seed; each sweep point gets an independent child stream.
+        Master seed.  Repetition ``r`` of sweep point ``p`` runs with
+        child ``r`` of child ``p`` of ``SeedSequence(seed)``, as one
+        :func:`~repro.experiments.runner.payment_sweep` unit at index
+        ``p * n_repetitions + r``: it retries with its own seed,
+        checkpoints under its own fingerprint and resumes independently.
     optimal_time_limit:
         Per-solve budget for the optimal benchmark.
     n_repetitions:
@@ -223,40 +197,20 @@ def run_payment_figure(
 
     if n_repetitions < 1:
         raise ValueError(f"n_repetitions must be positive, got {n_repetitions}")
-    rng = ensure_rng(seed)
-    point_rngs = rng.spawn(len(sweep_values))
     points = [
         (int(value), None) if sweep_axis == "workers" else (None, int(value))
         for value in sweep_values
     ]
+    seeds = [
+        rep
+        for point_seed in np.random.SeedSequence(seed).spawn(len(points))
+        for rep in point_seed.spawn(n_repetitions)
+    ]
     units = [point for point in points for _ in range(n_repetitions)]
-    digest = _sweep_digest(setting, mechanisms, units, n_price_samples)
-    executor = _figure_executor(name, seed, n_price_samples, digest)
+    results = payment_sweep(setting, mechanisms, units, seeds, n_price_samples=n_price_samples)
     rows = []
-    for point, (value, (n_workers, n_tasks), point_rng) in enumerate(
-        zip(sweep_values, points, point_rngs)
-    ):
-        rep_stats = []
-        for rep, rep_rng in enumerate(point_rng.spawn(n_repetitions)):
-            # A spawned, unconsumed Generator is exactly its SeedSequence
-            # replayed, so a unit re-runs (and resumes) bit-identically.
-            unit_seed = generator_seed_sequence(rep_rng)
-            rep_stats.append(
-                executor.run_unit(
-                    point * n_repetitions + rep,
-                    unit_seed,
-                    lambda s=unit_seed: payment_sweep_point(
-                        setting,
-                        mechanisms,
-                        n_workers=n_workers,
-                        n_tasks=n_tasks,
-                        n_price_samples=n_price_samples,
-                        seed=np.random.default_rng(s),
-                    ),
-                    encode=encode_payment_stats,
-                    decode=decode_payment_stats,
-                )
-            )
+    for point, value in enumerate(sweep_values):
+        rep_stats = results[point * n_repetitions : (point + 1) * n_repetitions]
         row: list = [int(value)]
         for mech in mechanisms:
             means = [stats[mech].mean for stats in rep_stats]

@@ -11,7 +11,10 @@ and standard deviation of the platform's total payment.
 
 :func:`payment_sweep` runs a whole sweep of such points, each one a unit
 of work for :class:`~repro.resilience.ResilientExecutor`, which owns the
-retry, checkpoint/resume, pool fan-out and in-order metrics merge.
+retry, checkpoint/resume, pool fan-out and in-order metrics merge.  It
+is the one sweep driver: the Figure 1–4 driver
+(:mod:`repro.experiments.figure_payment`) runs its (point, repetition)
+units through it too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.obs import current_recorder
 from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.context import current_resilience
 from repro.resilience.executor import ResilientExecutor
-from repro.utils.rng import RngLike, ensure_rng, ensure_seed_sequence
+from repro.utils.rng import RngLike, ensure_rng, fresh_seed_sequence
 from repro.utils.tables import render_table
 from repro.workloads.generator import generate_instance
 from repro.workloads.settings import SimulationSetting
@@ -150,14 +153,18 @@ def payment_sweep_point(
 
 
 def _sweep_point(setting, mechanisms, n_workers, n_tasks, n_price_samples, seed):
-    """One sweep point as a unit of work; module-level so it pickles."""
+    """One sweep point as a unit of work; module-level so it pickles.
+
+    The point spawns from a fresh copy of its seed, so a retry that
+    reuses the caller's object draws what the first attempt drew.
+    """
     return payment_sweep_point(
         setting,
         mechanisms,
         n_workers=n_workers,
         n_tasks=n_tasks,
         n_price_samples=n_price_samples,
-        seed=np.random.default_rng(seed),
+        seed=np.random.default_rng(fresh_seed_sequence(seed)),
     )
 
 
@@ -184,15 +191,21 @@ def decode_payment_stats(payload: Mapping) -> dict[str, PaymentStats]:
     }
 
 
-def _sweep_digest(setting, mechanisms, points, n_price_samples) -> str:
+def _sweep_digest(setting, mechanisms, points, seeds, n_price_samples) -> str:
     """A digest of what a sweep's units compute, equal in every process.
 
     Unit checkpoint records are keyed by seed alone, so sweeps that share
     a seed but differ in the setting, a unit's ``(n_workers, n_tasks)``,
     a mechanism's name, class or public scalar attributes (its ε, solver,
-    time limit…) or the sample count must not share a file.
+    time limit…) or the sample count must not share a file; the unit
+    seeds' fingerprints complete the sweep's identity.
     """
-    described = [repr(setting), [list(point) for point in points], int(n_price_samples)]
+    described = [
+        repr(setting),
+        [list(point) for point in points],
+        [seed_fingerprint(seed) for seed in seeds],
+        int(n_price_samples),
+    ]
     for name, mechanism in mechanisms.items():
         scalars = {
             key: value
@@ -209,29 +222,24 @@ def sweep_checkpoint(
     setting: SimulationSetting,
     mechanisms: Mapping[str, Mechanism],
     points: Sequence[tuple[int | None, int | None]],
+    seeds: Sequence[np.random.SeedSequence],
     *,
     n_price_samples: int,
-    seed: Union[RngLike, np.random.SeedSequence],
 ) -> SweepCheckpoint:
     """The canonical checkpoint of one :func:`payment_sweep` invocation.
 
     :func:`payment_sweep` writes here when the ambient config names a
-    ``checkpoint_dir``.  The file name embeds the master seed's
-    fingerprint and a digest of the setting, the points, the mechanisms
-    and the sample count, so sweeps that differ in any of them never
-    collide in one directory; the meta header pins the same values, so
-    a checkpoint can never silently resume a different sweep.
+    ``checkpoint_dir``.  The file is ``payment_sweep-<digest>.jsonl``,
+    where the digest covers the setting, the points, the unit seeds, the
+    mechanisms and the sample count, so sweeps that differ in any of
+    them never collide in one directory; the meta header pins the same
+    digest, so a checkpoint can never silently resume a different sweep.
     """
-    master = ensure_seed_sequence(seed)
-    fingerprint = seed_fingerprint(master)
-    digest = _sweep_digest(setting, mechanisms, points, n_price_samples)
-    safe = fingerprint.replace(":", "_").replace(",", "-").replace("+", "-")
-    path = Path(directory) / f"payment_sweep-{safe}-p{len(points)}-{digest}.jsonl"
+    digest = _sweep_digest(setting, mechanisms, points, seeds, n_price_samples)
     return SweepCheckpoint(
-        path,
+        Path(directory) / f"payment_sweep-{digest}.jsonl",
         context={
             "sweep": "payment_sweep",
-            "master": fingerprint,
             "n_points": len(points),
             "n_price_samples": int(n_price_samples),
             "digest": digest,
@@ -243,17 +251,20 @@ def payment_sweep(
     setting: SimulationSetting,
     mechanisms: Mapping[str, Mechanism],
     points: Sequence[tuple[int | None, int | None]],
+    seeds: Sequence[np.random.SeedSequence],
     *,
     n_price_samples: int = 10_000,
-    seed: Union[RngLike, np.random.SeedSequence] = None,
     max_workers: int | None = None,
 ) -> list[dict[str, PaymentStats]]:
     """Evaluate a whole Figure 1–4 sweep, optionally on a process pool.
 
-    Each sweep point gets child ``i`` of the master ``seed`` (spawned
-    order-free from its :class:`~numpy.random.SeedSequence`), so the
+    Point ``i`` runs with ``seeds[i]`` (the contract of
+    :meth:`~repro.resilience.ResilientExecutor.run_units`), so the
     parallel and serial paths return *identical* statistics —
-    parallelism only buys wall-clock time, never changes numbers.
+    parallelism only buys wall-clock time, never changes numbers.  A
+    sweep over child ``i`` of one master seed passes
+    ``spawn_seed_sequences(master, len(points))``
+    (:func:`repro.utils.rng.spawn_seed_sequences`).
 
     When a :class:`~repro.obs.MetricsRecorder` is installed as the
     ambient one (:func:`repro.obs.use_recorder`), every point runs under
@@ -265,14 +276,14 @@ def payment_sweep(
     :meth:`~repro.resilience.ResilientExecutor.run_units` unit) follows
     the ambient :func:`~repro.resilience.current_resilience` config.
     Transient point failures are retried in the parent with the point's
-    original child seed on its retry policy's deterministic backoff
-    schedule, and its fault plan is keyed by point index (a poison fault
-    surfaces as an immediate error: a statistics dict has no outcome to
-    corrupt).  A permanent failure raises
-    :class:`~repro.exceptions.InstanceExecutionError` (the sweep has no
-    quarantine slot — its callers build figure tables that need every
-    point).  With a ``checkpoint_dir``, each completed point is durably
-    appended to the :func:`sweep_checkpoint` file under its seed
+    own seed on its retry policy's deterministic backoff schedule (each
+    backoff is a ``sweep.retry`` span), and its fault plan is keyed by
+    point index (a poison fault surfaces as an immediate error: a
+    statistics dict has no outcome to corrupt).  A permanent failure
+    raises :class:`~repro.exceptions.InstanceExecutionError` (the sweep
+    has no quarantine slot — its callers build figure tables that need
+    every point).  With a ``checkpoint_dir``, each completed point is
+    durably appended to the :func:`sweep_checkpoint` file under its seed
     fingerprint, already-checkpointed points are skipped on the next
     run, and the merged results — statistics, metrics, and
     privacy-ledger trail — are bit-identical to an uninterrupted sweep.
@@ -288,10 +299,10 @@ def payment_sweep(
     points:
         ``(n_workers, n_tasks)`` overrides per sweep point (``None``
         falls back to the setting's population).
+    seeds:
+        One :class:`~numpy.random.SeedSequence` per point.
     n_price_samples:
         Price draws per mechanism per point.
-    seed:
-        Master seed (``None``, ``int``, or ``SeedSequence``).
     max_workers:
         ``None`` or ``1`` runs serially in-process; larger values fan the
         points out over the shared long-lived process pool
@@ -304,28 +315,24 @@ def payment_sweep(
     list of dict
         Per point, ``{mechanism name: PaymentStats}`` in input order.
     """
+    seeds = list(seeds)
+    if len(seeds) != len(points):
+        raise ValueError(f"seeds has length {len(seeds)} but the sweep has {len(points)} points")
     directory = current_resilience().checkpoint_dir
-    master = ensure_seed_sequence(seed)
-    children = master.spawn(len(points))
     mechanisms = dict(mechanisms)
     checkpoint = None
     if directory is not None:
         checkpoint = sweep_checkpoint(
-            directory,
-            setting,
-            mechanisms,
-            points,
-            n_price_samples=n_price_samples,
-            seed=master,
+            directory, setting, mechanisms, points, seeds, n_price_samples=n_price_samples
         )
     executor = ResilientExecutor(checkpoint=checkpoint)
     done = executor.run_units(
         _sweep_point,
         [
-            (setting, mechanisms, n_workers, n_tasks, n_price_samples, child)
-            for (n_workers, n_tasks), child in zip(points, children)
+            (setting, mechanisms, n_workers, n_tasks, n_price_samples, seed)
+            for (n_workers, n_tasks), seed in zip(points, seeds)
         ],
-        children,
+        seeds,
         width=max_workers if max_workers is not None and max_workers > 1 else None,
         retry_span="sweep.retry",
         encode=encode_payment_stats,

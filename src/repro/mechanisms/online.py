@@ -68,6 +68,7 @@ from repro.resilience.checkpoint import SweepCheckpoint, seed_fingerprint
 from repro.resilience.context import current_resilience
 from repro.tolerances import DEMAND_TOL
 from repro.utils import validation
+from repro.utils.rng import fresh_seed_sequence
 from repro.workloads.streams import OnlineArrivalStream, static_density
 
 __all__ = [
@@ -637,19 +638,12 @@ class DPOnlineThresholdMechanism(OnlineThresholdMechanism):
     def _stage_seed(self, seed, stage: int) -> np.random.SeedSequence:
         """The stage's independent child seed (resume-invariant).
 
-        Always spawns from a *fresh* :class:`~numpy.random.SeedSequence`
-        (a passed-in sequence is rebuilt from its entropy/spawn-key), so
-        the stage draw never depends on how many times the caller's
-        object spawned before — that is what makes kill-and-resume
-        bit-identical without persisting RNG state.
+        Always spawns from a :func:`~repro.utils.rng.fresh_seed_sequence`
+        copy of ``seed``, so the stage draw never depends on how many
+        times the caller's object spawned before — that is what makes
+        kill-and-resume bit-identical without persisting RNG state.
         """
-        if isinstance(seed, np.random.SeedSequence):
-            base = np.random.SeedSequence(
-                entropy=seed.entropy, spawn_key=seed.spawn_key
-            )
-        else:
-            base = np.random.SeedSequence(seed)
-        return base.spawn(self.n_stages)[int(stage)]
+        return fresh_seed_sequence(seed).spawn(self.n_stages)[int(stage)]
 
     def _calibrate(
         self,

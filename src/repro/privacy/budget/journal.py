@@ -104,7 +104,6 @@ class JsonlBudgetStore(BudgetStore):
                 "limits": dict(self._memory.tenant_limits),
             },
             label="budget journal",
-            error_type=CheckpointError,
             fsync_every=fsync_every,
             persistent_handle=True,
         )

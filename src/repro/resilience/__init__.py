@@ -32,10 +32,11 @@ successful outcome*:
   ``--resume`` / ``--fault-plan`` flags install it).
 * :mod:`repro.resilience.executor` — :class:`ResilientExecutor`, the
   one executor of units of work (batch instances, sweep points, figure
-  repetitions, campaign cells) combining all of the above: attempt 0 of
-  every unit in-process or on the shared pool, then one in-order settle
-  loop in the parent.  It reads the ambient config when it is built,
-  and every unit it runs sees none.
+  repetitions, campaign cells) combining all of the above: one in-order
+  settle loop in the parent, in which an in-process unit runs just
+  before it settles and a pooled call's attempt 0 of every unit is
+  prefetched on the shared pool.  It reads the ambient config when it
+  is built, and every unit it runs sees none.
 
 Quickstart
 ----------

@@ -110,7 +110,6 @@ class SweepCheckpoint:
             schema=CHECKPOINT_SCHEMA,
             context=self.context,
             label="checkpoint",
-            error_type=CheckpointError,
         )
 
     def exists(self) -> bool:

@@ -55,15 +55,6 @@ class ResilienceConfig:
     fault_plan: FaultPlan | None = None
     checkpoint_dir: Union[str, Path, None] = None
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any resilience feature is switched on."""
-        return (
-            self.retry is not None
-            or self.fault_plan is not None
-            or self.checkpoint_dir is not None
-        )
-
 
 #: The default configuration: everything off.
 RESILIENCE_OFF = ResilienceConfig()
@@ -88,8 +79,8 @@ def use_resilience(config: ResilienceConfig) -> Iterator[ResilienceConfig]:
     >>> with use_resilience(ResilienceConfig(retry=RetryPolicy(max_retries=2))):
     ...     current_resilience().retry.max_retries
     2
-    >>> current_resilience().enabled
-    False
+    >>> current_resilience() is RESILIENCE_OFF
+    True
     """
     with use_context(current_context().replace(resilience=config)):
         yield config

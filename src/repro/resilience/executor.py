@@ -1,28 +1,31 @@
 """The one executor for units of work: attempt, retry, quarantine, resume.
 
 Batch instances (:class:`~repro.bench.BatchAuctionRunner`), sweep points
-(:func:`~repro.experiments.runner.payment_sweep`), figure repetitions
-(the Figure 1–4 driver) and campaign cells
+(:func:`~repro.experiments.runner.payment_sweep`, which also runs the
+Figure 1–4 driver's repetitions) and campaign cells
 (:class:`~repro.campaign.CampaignRunner`) all run here.  A unit is a
 function call keyed by its index and its
 :class:`numpy.random.SeedSequence`; :meth:`ResilientExecutor.run_units`
-runs a sequence of them in two phases:
+runs a sequence of them in one loop in the parent, in input order.  The
+loop replays checkpoint hits and runs every other unit through
+:func:`_attempt`, which returns any error as a value.  It retries
+transient errors with the unit's *own* seed on the
+:class:`~repro.resilience.RetryPolicy`'s deterministic schedule (a
+recovered unit is bit-identical to a never-faulted one), raises or
+quarantines permanent failures as
+:class:`~repro.exceptions.InstanceExecutionError`, checkpoints
+completed units and merges their metrics snapshots into the sink.
 
-1. **Attempt phase.**  Attempt 0 of every unit the checkpoint does not
-   hold runs first, in-process or on the shared pool
-   (:func:`~repro.utils.pool.pool_map`), through :func:`_attempt`, which
-   returns any error as a value — one failing unit never discards the
-   others' finished work.
-2. **Settle phase.**  One loop in the parent, in input order, replays
-   checkpoint hits, retries transient errors with the unit's *own* seed
-   on the :class:`~repro.resilience.RetryPolicy`'s deterministic
-   schedule (a recovered unit is bit-identical to a never-faulted one),
-   raises or quarantines permanent failures as
-   :class:`~repro.exceptions.InstanceExecutionError`, checkpoints
-   completed units and merges their metrics snapshots into the sink.
+An in-process unit runs its attempt 0 in that loop, just before it
+settles, so an in-process call over N units is N one-unit calls: a
+raise leaves every later unit unrun and uncharged, and a recovered
+unit's budget charges land where a fault-free run puts them.  A pooled
+call prefetches attempt 0 of every pending unit on the shared pool
+(:func:`~repro.utils.pool.pool_map`) and settles the results in the
+same loop; one failing unit never discards the others' finished work.
 
-Because the settle loop emits every ``resilience.*`` counter, retry span
-and snapshot merge, serial and pooled runs record identical metrics, and
+Because the loop emits every ``resilience.*`` counter, retry span and
+snapshot merge, serial and pooled runs record identical metrics, and
 resumed runs replay the checkpointed snapshots of an uninterrupted one.
 A failed attempt's spans, counters and histograms are discarded, but its
 draws were already charged to the budget store, so its ledger entries
@@ -151,9 +154,9 @@ class ResilientExecutor:
     ... )
     >>> with use_resilience(chaos):
     ...     executor = ResilientExecutor()
-    >>> seed = np.random.SeedSequence(7)
-    >>> executor.run_unit(0, seed, lambda: 41 + 1)  # fails once, then recovers
-    42
+    >>> seeds = np.random.SeedSequence(7).spawn(2)
+    >>> executor.run_units(lambda x: x + 1, [(41,), (1,)], seeds).values  # unit 0 fails once
+    (42, 2)
     """
 
     def __init__(self, *, checkpoint: SweepCheckpoint | None = None) -> None:
@@ -169,32 +172,12 @@ class ResilientExecutor:
         """Whether per-unit metrics snapshots are collected and merged."""
         return isinstance(self.recorder, MetricsRecorder)
 
-    def run_unit(
-        self,
-        index: int,
-        seed: np.random.SeedSequence,
-        fn: Callable[[], object],
-        *,
-        encode: Optional[Callable] = None,
-        decode: Optional[Callable] = None,
-    ):
-        """Execute one unit in-process (or restore it from the checkpoint).
-
-        The one-unit case of :meth:`run_units`, for drivers that finish
-        each unit before starting the next; ``fn`` takes no arguments.
-        Raises :class:`~repro.exceptions.InstanceExecutionError` on
-        permanent failure or exhausted retries.
-        """
-        done = self.run_units(fn, [()], [seed], start=index, encode=encode, decode=decode)
-        return done.values[0]
-
     def run_units(
         self,
         fn: Callable,
         args: Sequence[tuple],
         seeds: Sequence[np.random.SeedSequence],
         *,
-        start: int = 0,
         width: int | None = None,
         on_error: str = "raise",
         outcomes: bool = False,
@@ -203,23 +186,26 @@ class ResilientExecutor:
         encode: Optional[Callable] = None,
         decode: Optional[Callable] = None,
     ) -> UnitResults:
-        """Run unit ``start + i`` as ``fn(*args[i])`` with seed ``seeds[i]``.
+        """Run unit ``i`` as ``fn(*args[i])`` with seed ``seeds[i]``.
 
         ``fn`` must be a pure function of its arguments: it is re-invoked
         verbatim on retry, which is what makes a recovered unit
-        bit-identical to a never-faulted one.  ``width=None`` runs the
-        attempt phase in-process; an integer runs it on the shared pool
-        of that width (``fn`` and ``args`` must pickle) — except under an
-        active ambient budget scope, which always runs in-process: a
-        pooled attempt sees the default budget scope, and in-process
-        charging keeps every ε-draw's admission in unit order.
-        ``on_error="raise"`` raises the first permanent failure after
-        settling every unit before it; ``"quarantine"`` leaves ``None``
-        in its slot.  ``outcomes`` selects the poison rule of
-        :func:`_attempt`, ``retry_span`` names each backoff's ``retry``
-        span, ``trace_id`` stamps a batch's correlation id into every
-        unit span, and ``encode``/``decode`` convert a result to and from
-        its JSON checkpoint payload.
+        bit-identical to a never-faulted one.  ``width=None`` runs every
+        unit in-process, each one settled before the next starts, so the
+        call equals N one-unit calls.  An integer prefetches attempt 0 of
+        every pending unit on the shared pool of that width (``fn`` and
+        ``args`` must pickle) — except under an active ambient budget
+        scope, which always runs in-process: a pooled attempt sees the
+        default budget scope, and in-process charging keeps every
+        ε-draw's admission in unit order.  ``on_error="raise"`` raises
+        the first permanent failure after settling every unit before it;
+        an in-process call has then not started any later unit.
+        ``"quarantine"`` leaves ``None`` in its slot.  ``outcomes``
+        selects the poison rule of :func:`_attempt`, ``retry_span``
+        names each backoff's ``retry`` span, ``trace_id`` stamps a
+        batch's correlation id into every unit span, and
+        ``encode``/``decode`` convert a result to and from its JSON
+        checkpoint payload.
 
         Raises
         ------
@@ -232,7 +218,8 @@ class ResilientExecutor:
             raise ValueError(f"on_error must be one of {_ON_ERROR}, got {on_error!r}")
         sink = self.recorder
         keys = [seed_fingerprint(seed) for seed in seeds]
-        pending = [i for i, key in enumerate(keys) if key not in self._cached]
+        hits = {i: self._cached[key] for i, key in enumerate(keys) if key in self._cached}
+        pending = [i for i in range(len(keys)) if i not in hits]
         if width is not None and current_budget_scope().active:
             logger.info("budget store active: running %d units in-process", len(pending))
             width = None
@@ -246,26 +233,24 @@ class ResilientExecutor:
             stamp = {"trace_id": trace_id, "parent_span": f"{trace_id}:batch"}
 
         def task(i: int, attempt: int) -> tuple:
-            index = start + i
             context = pooled if attempt == 0 and width is not None else inline
             if self.collect:
-                trace = None if stamp is None else {**stamp, "unit": index}
+                trace = None if stamp is None else {**stamp, "unit": i}
                 with use_context(context):  # the unit's own clock times its spans
                     context = context.replace(recorder=MetricsRecorder(trace=trace))
-            return (fn, args[i], index, attempt, self.fault_plan, context, outcomes)
+            return (fn, args[i], i, attempt, self.fault_plan, context, outcomes)
 
-        if width is None or not pending:
-            firsts = [_attempt(*task(i, 0)) for i in pending]
-        else:
+        first = {}  # a pooled call's prefetched attempt 0 per pending unit
+        if width is not None and pending:
             tasks = [task(i, 0) for i in pending]
             chunksize = max(1, len(tasks) // (4 * width))
             firsts = pool_map(width, _attempt, *zip(*tasks), chunksize=chunksize)
-        first = dict(zip(pending, firsts))
+            first = dict(zip(pending, firsts))
 
         values, snapshots, failed = [], [], []
         for i, seed in enumerate(seeds):
-            if i not in first:
-                record = self._cached[keys[i]]
+            if i in hits:
+                record = hits[i]
                 sink.count("resilience.checkpoint.hits")
                 snapshot = record.get("snapshot")
                 if self.collect and snapshot:
@@ -273,7 +258,7 @@ class ResilientExecutor:
                 values.append(record["payload"] if decode is None else decode(record["payload"]))
                 snapshots.append(snapshot)
                 continue
-            value, snapshot, error = first.pop(i)
+            value, snapshot, error = first.pop(i) if i in first else _attempt(*task(i, 0))
             attempt = 0
             delays: tuple[float, ...] = ()
             if error is not None and self.retry is not None:
@@ -287,7 +272,7 @@ class ResilientExecutor:
                 sink.count("resilience.retries")
                 delay = delays[attempt]
                 attempt += 1
-                with sink.span("retry", retry_span, index=start + i, attempt=attempt, delay=delay):
+                with sink.span("retry", retry_span, index=i, attempt=attempt, delay=delay):
                     time.sleep(delay)
                 value, snapshot, error = _attempt(*task(i, attempt))
             if error is not None:
@@ -295,7 +280,7 @@ class ResilientExecutor:
                 if snapshot:
                     sink.merge_snapshot(snapshot)
                 _release_frames(error)
-                wrapped = InstanceExecutionError(start + i, seed, error, attempts=attempt + 1)
+                wrapped = InstanceExecutionError(i, seed, error, attempts=attempt + 1)
                 if on_error == "raise":
                     raise wrapped from error
                 logger.warning("quarantining unit: %s", wrapped)
@@ -310,7 +295,7 @@ class ResilientExecutor:
                 sink.count("resilience.recovered")
             if self.checkpoint is not None:
                 payload = value if encode is None else encode(value)
-                self.checkpoint.append(keys[i], payload, index=start + i, snapshot=snapshot)
+                self.checkpoint.append(keys[i], payload, index=i, snapshot=snapshot)
                 self._cached[keys[i]] = {"key": keys[i], "payload": payload, "snapshot": snapshot}
                 sink.count("resilience.checkpoint.writes")
             if self.collect and snapshot is not None:

@@ -34,7 +34,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Iterator, Mapping, Type, Union
+from typing import Iterator, Mapping, Union
 
 from repro.exceptions import CheckpointError
 
@@ -61,8 +61,6 @@ class JsonlJournal:
     label:
         Word used in error/log messages (``"checkpoint"``,
         ``"budget journal"``, …).
-    error_type:
-        Exception class raised on corruption or header mismatches.
     fsync_every:
         fsync after every N appends (default 1 — every append durable).
     persistent_handle:
@@ -78,7 +76,6 @@ class JsonlJournal:
         schema: str,
         context: Mapping | None = None,
         label: str = "journal",
-        error_type: Type[Exception] = CheckpointError,
         fsync_every: int = 1,
         persistent_handle: bool = False,
     ) -> None:
@@ -88,7 +85,6 @@ class JsonlJournal:
         self.schema = str(schema)
         self.context = dict(context or {})
         self.label = str(label)
-        self.error_type = error_type
         self.fsync_every = int(fsync_every)
         self.persistent_handle = bool(persistent_handle)
         self._handle = None
@@ -109,7 +105,7 @@ class JsonlJournal:
         truncated from the file*, so a later :meth:`append` starts from
         a clean newline-terminated tail; corruption anywhere else, a
         wrong schema, or a header contradicting this journal's
-        ``context`` raises ``error_type``.
+        ``context`` raises :class:`~repro.exceptions.CheckpointError`.
         """
         if not self.path.exists():
             return
@@ -133,18 +129,18 @@ class JsonlJournal:
                     )
                     self._truncate_to(start)
                     return
-                raise self.error_type(
+                raise CheckpointError(
                     f"{self.label} {self.path} line {line_no}: not valid JSON ({exc})"
                 ) from exc
             if not isinstance(obj, dict) or "type" not in obj:
-                raise self.error_type(
+                raise CheckpointError(
                     f"{self.label} {self.path} line {line_no}: not a typed JSON object"
                 )
             if position == 0:
                 self._check_header(obj, line_no)
                 continue
             if obj["type"] == "meta":
-                raise self.error_type(
+                raise CheckpointError(
                     f"{self.label} {self.path} line {line_no}: duplicate meta header"
                 )
             yield line_no, obj
@@ -194,18 +190,18 @@ class JsonlJournal:
 
     def _check_header(self, obj: dict, line_no: int) -> None:
         if obj.get("type") != "meta":
-            raise self.error_type(
+            raise CheckpointError(
                 f"{self.label} {self.path} line {line_no}: "
                 "first line must be the meta header"
             )
         if obj.get("schema") != self.schema:
-            raise self.error_type(
+            raise CheckpointError(
                 f"{self.label} {self.path}: unsupported schema {obj.get('schema')!r} "
                 f"(expected {self.schema!r})"
             )
         for key, value in self.context.items():
             if key in obj and obj[key] != value:
-                raise self.error_type(
+                raise CheckpointError(
                     f"{self.label} {self.path}: header {key}={obj[key]!r} does not "
                     f"match this run's {key}={value!r} — refusing to resume a "
                     "different run"

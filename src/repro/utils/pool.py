@@ -1,8 +1,8 @@
 """Shared, long-lived process pools: the one source of worker processes.
 
 Every process-backed fan-out in the library goes through the one unit
-executor, :meth:`repro.resilience.ResilientExecutor.run_units`, whose
-attempt phase submits its units to :func:`pool_map` — each
+executor, :meth:`repro.resilience.ResilientExecutor.run_units`: a pooled
+call submits attempt 0 of every pending unit to :func:`pool_map` — each
 :class:`~repro.bench.BatchAuctionRunner` batch on the ``"process"``
 backend (either transport) and each parallel
 :func:`~repro.experiments.runner.payment_sweep`.  Failures come back as

@@ -19,7 +19,7 @@ __all__ = [
     "RngLike",
     "ensure_rng",
     "ensure_seed_sequence",
-    "generator_seed_sequence",
+    "fresh_seed_sequence",
     "spawn_rngs",
     "spawn_seed_sequences",
 ]
@@ -75,39 +75,6 @@ def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
     return ensure_rng(seed).spawn(count)
 
 
-def generator_seed_sequence(rng: np.random.Generator) -> np.random.SeedSequence:
-    """The :class:`~numpy.random.SeedSequence` a *fresh* generator was built from.
-
-    For a generator that has not yet consumed randomness,
-    ``np.random.default_rng(generator_seed_sequence(rng))`` produces a
-    bit-identical stream — which gives legacy :meth:`Generator.spawn
-    <numpy.random.Generator.spawn>`-derived code a stable, picklable
-    *identity* for each child (usable as a checkpoint key or retry-stream
-    root) without changing a single draw.
-
-    Raises
-    ------
-    TypeError
-        When the generator's bit generator does not expose its seed
-        sequence (all numpy built-in bit generators do).
-
-    Examples
-    --------
-    >>> parent = np.random.default_rng(7)
-    >>> child = parent.spawn(1)[0]
-    >>> replay = np.random.default_rng(generator_seed_sequence(child))
-    >>> float(child.random()) == float(replay.random())
-    True
-    """
-    seed_seq = getattr(rng.bit_generator, "seed_seq", None)
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        raise TypeError(
-            "generator's bit generator does not expose a numpy SeedSequence "
-            f"(got {type(seed_seq).__name__})"
-        )
-    return seed_seq
-
-
 def spawn_seed_sequences(
     seed: Union[RngLike, np.random.SeedSequence], count: int
 ) -> list[np.random.SeedSequence]:
@@ -118,7 +85,9 @@ def spawn_seed_sequences(
     independent of any generator's consumption state — so work item ``i``
     gets the same stream no matter which process executes it or in what
     order.  This is what makes batched and serial runs of
-    :class:`repro.bench.BatchAuctionRunner` byte-identical.
+    :class:`repro.bench.BatchAuctionRunner` byte-identical.  The children
+    are spawned from a :func:`fresh_seed_sequence` copy of ``seed``, so
+    they do not depend on how often the caller's object spawned before.
 
     Parameters
     ----------
@@ -142,7 +111,7 @@ def spawn_seed_sequences(
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return ensure_seed_sequence(seed).spawn(count)
+    return fresh_seed_sequence(seed).spawn(count)
 
 
 def ensure_seed_sequence(
@@ -172,4 +141,32 @@ def ensure_seed_sequence(
     raise TypeError(
         "seed must be None, an int, or a numpy SeedSequence for "
         f"order-free spawning, got {type(seed).__name__}"
+    )
+
+
+def fresh_seed_sequence(
+    seed: Union[RngLike, np.random.SeedSequence],
+) -> np.random.SeedSequence:
+    """``seed`` as a :class:`~numpy.random.SeedSequence` that has spawned nothing.
+
+    :meth:`SeedSequence.spawn <numpy.random.SeedSequence.spawn>` advances
+    the spawning object's child counter, so a second spawn of one object
+    returns new children.  Rebuilding the sequence from its
+    ``(entropy, spawn_key, pool_size)`` gives a copy whose children
+    depend on the seed alone: every use of it draws what the first use
+    of the original drew.  ``seed`` is normalized as in
+    :func:`ensure_seed_sequence`.
+
+    Examples
+    --------
+    >>> ss = np.random.SeedSequence(7)
+    >>> first = ss.spawn(1)[0].spawn_key
+    >>> ss.spawn(1)[0].spawn_key == first
+    False
+    >>> fresh_seed_sequence(ss).spawn(1)[0].spawn_key == first
+    True
+    """
+    seed = ensure_seed_sequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
     )

@@ -121,6 +121,15 @@ class TestSeedSpawning:
         children = spawn_seed_sequences(master, 2)
         assert len(children) == 2
 
+    def test_one_seed_sequence_object_gives_equal_runs(self, batch):
+        """Spawning copies the master, so reusing one object changes nothing."""
+        master = np.random.SeedSequence(5)
+        runner = BatchAuctionRunner(DPHSRCAuction(epsilon=0.5), backend="serial")
+        first = runner.run(batch, seed=master)
+        _assert_identical(first, runner.run(batch, seed=master))
+        _assert_identical(first, runner.run(batch, seed=5))
+        assert master.n_children_spawned == 0
+
     def test_rejects_generator_masters(self):
         # Generator.spawn depends on consumption state, which would make
         # "same seed" silently irreproducible — hard error instead.

@@ -204,15 +204,23 @@ class TestFailedAttemptsKeepTheirDraws:
 class TestSweepUnderBudget:
     def test_sweep_forces_serial_and_charges_once(self):
         from repro.experiments.runner import payment_sweep
+        from repro.utils.rng import spawn_seed_sequences
         from repro.workloads import SETTING_I
 
         mechs = {"dp_hsrc": DPHSRCAuction(epsilon=0.1)}
         points = [(None, 3), (None, 4), (None, 5)]
-        golden = payment_sweep(SETTING_I, mechs, points, n_price_samples=50, seed=1)
+        golden = payment_sweep(
+            SETTING_I, mechs, points, spawn_seed_sequences(1, len(points)), n_price_samples=50
+        )
         store = InMemoryBudgetStore()
         with use_budget_store(store, tenant="acme"):
             budgeted = payment_sweep(
-                SETTING_I, mechs, points, n_price_samples=50, seed=1, max_workers=4
+                SETTING_I,
+                mechs,
+                points,
+                spawn_seed_sequences(1, len(points)),
+                n_price_samples=50,
+                max_workers=4,
             )
         assert budgeted == golden
         # One dp-hsrc charge per point — the pool was not used, so no

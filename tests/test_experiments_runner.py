@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.exceptions import TransientError
 from repro.experiments.figure_payment import run_payment_figure
-from repro.experiments.runner import payment_sweep_point
+from repro.experiments.runner import payment_sweep, payment_sweep_point
 from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
+from repro.resilience import ResilienceConfig, RetryPolicy, use_resilience
+from repro.utils.rng import spawn_seed_sequences
 
 
 class TestPaymentSweepPoint:
@@ -33,6 +36,59 @@ class TestPaymentSweepPoint:
             tiny_setting, mechanisms, n_workers=40, n_price_samples=100, seed=1
         )
         assert stats["dp"].mean > 0
+
+
+class _FlakyOnce(DPHSRCAuction):
+    """Fails its first ``price_pmf`` call, after the point drew its instance."""
+
+    def __init__(self, epsilon):
+        super().__init__(epsilon=epsilon)
+        self._failed = False
+
+    def price_pmf(self, instance):
+        if not self._failed:
+            self._failed = True
+            raise TransientError("flaky price_pmf")
+        return super().price_pmf(instance)
+
+
+class TestPaymentSweep:
+    def test_retried_point_recovers_the_fresh_statistics(self, tiny_setting):
+        """A retry redraws from the point's seed, not from a spawned-from copy."""
+        points = [(None, 5), (None, 6)]
+        fresh = payment_sweep(
+            tiny_setting,
+            {"dp": DPHSRCAuction(epsilon=0.5)},
+            points,
+            spawn_seed_sequences(4, len(points)),
+            n_price_samples=200,
+        )
+        retry = ResilienceConfig(retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0))
+        with use_resilience(retry):
+            recovered = payment_sweep(
+                tiny_setting,
+                {"dp": _FlakyOnce(epsilon=0.5)},
+                points,
+                spawn_seed_sequences(4, len(points)),
+                n_price_samples=200,
+            )
+        assert recovered == fresh
+
+    def test_one_seeds_list_serves_two_sweeps(self, tiny_setting):
+        mechanisms = {"dp": DPHSRCAuction(epsilon=0.5)}
+        points = [(None, 5), (None, 6)]
+        seeds = spawn_seed_sequences(4, len(points))
+        first = payment_sweep(tiny_setting, mechanisms, points, seeds, n_price_samples=100)
+        assert payment_sweep(tiny_setting, mechanisms, points, seeds, n_price_samples=100) == first
+
+    def test_needs_one_seed_per_point(self, tiny_setting):
+        with pytest.raises(ValueError, match="seeds"):
+            payment_sweep(
+                tiny_setting,
+                {"dp": DPHSRCAuction(epsilon=0.5)},
+                [(None, 5), (None, 6)],
+                spawn_seed_sequences(4, 1),
+            )
 
 
 class TestRunPaymentFigure:

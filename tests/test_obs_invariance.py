@@ -17,6 +17,7 @@ from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.mechanisms.dp_variants import PermuteFlipHSRCAuction
 from repro.obs import MetricsRecorder, NullRecorder, use_recorder
+from repro.utils.rng import spawn_seed_sequences
 from repro.workloads.generator import generate_instance
 
 N_SEEDS = 50
@@ -171,13 +172,22 @@ class TestSweepBackendMetricEquality:
     def test_serial_and_pooled_sweeps_merge_identical_metrics(self):
         mechanisms = {"DP-hSRC": DPHSRCAuction(epsilon=EPSILON)}
         points = [(18, 5), (22, 5), (26, 5)]
-        kwargs = dict(n_price_samples=200, seed=13)
+        kwargs = dict(n_price_samples=200)
         serial_rec = MetricsRecorder()
         with use_recorder(serial_rec):
-            serial = payment_sweep(SETTING, mechanisms, points, **kwargs)
+            serial = payment_sweep(
+                SETTING, mechanisms, points, spawn_seed_sequences(13, len(points)), **kwargs
+            )
         pooled_rec = MetricsRecorder()
         with use_recorder(pooled_rec):
-            pooled = payment_sweep(SETTING, mechanisms, points, max_workers=2, **kwargs)
+            pooled = payment_sweep(
+                SETTING,
+                mechanisms,
+                points,
+                spawn_seed_sequences(13, len(points)),
+                max_workers=2,
+                **kwargs,
+            )
         for left, right in zip(serial, pooled):
             assert left.keys() == right.keys()
             for name in left:

@@ -1,12 +1,16 @@
-"""The resilient unit executor: one call over N units equals N one-unit calls.
+"""The resilient unit executor: an in-process call is N one-unit calls.
 
 :meth:`repro.resilience.ResilientExecutor.run_units` is the only code
 that runs units of work (batch instances, sweep points, figure
-repetitions, campaign cells).  ``run_unit`` is its one-unit case, so a
-driver that settles each unit before starting the next must observe
-exactly what one multi-unit call observes — in-process or on the shared
-pool: the same values, failures and attempt counts, ``resilience.*``
-counters, merged unit metrics, and checkpoint records.
+repetitions, campaign cells).  An in-process call runs each unit just
+before it settles, so it is N one-unit calls by construction and the
+reference here.  A pooled call prefetches every unit's attempt 0 and
+must observe exactly what the in-process call observes: the same
+values, failures and attempt counts, ``resilience.*`` counters, merged
+unit metrics, and checkpoint records.  Because an in-process unit runs
+where it settles, a raise leaves every later unit unrun and uncharged,
+and a recovered unit's budget charges land where a fault-free run puts
+them.
 """
 
 import json
@@ -14,8 +18,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench import BatchAuctionRunner, seeded_auction_batch
 from repro.exceptions import InstanceExecutionError
+from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.obs import MetricsRecorder, current_recorder, use_recorder
+from repro.privacy.budget import InMemoryBudgetStore, use_budget_store
 from repro.resilience import (
     FaultPlan,
     PoisonedResultError,
@@ -70,31 +77,8 @@ def _executor(tmp_path, name):
     return executor, recorder, checkpoint
 
 
-def _one_at_a_time(tmp_path, *, stop_at_first_failure):
-    """N ``run_unit`` calls, keeping each failure or stopping at the first."""
-    executor, recorder, checkpoint = _executor(tmp_path, "single")
-    values, failed = [], []
-    for index, seed in enumerate(_seeds()):
-        try:
-            values.append(
-                executor.run_unit(
-                    index,
-                    seed,
-                    lambda i=index, s=seed: _unit(float(i + 1), s),
-                    encode=_encode,
-                    decode=_decode,
-                )
-            )
-        except InstanceExecutionError as error:
-            if stop_at_first_failure:
-                return values, [error], recorder, checkpoint
-            values.append(None)
-            failed.append(error)
-    return values, failed, recorder, checkpoint
-
-
-def _all_at_once(tmp_path, *, width, on_error):
-    executor, recorder, checkpoint = _executor(tmp_path, f"multi-{width}")
+def _run(tmp_path, name, *, width, on_error):
+    executor, recorder, checkpoint = _executor(tmp_path, name)
     seeds = _seeds()
     args = [(float(i + 1), seed) for i, seed in enumerate(seeds)]
     try:
@@ -104,6 +88,11 @@ def _all_at_once(tmp_path, *, width, on_error):
     except InstanceExecutionError as error:
         return None, [error], recorder, checkpoint
     return list(done.values), list(done.failed), recorder, checkpoint
+
+
+def _one_at_a_time(tmp_path, *, on_error):
+    """The in-process call: each unit settles before the next one starts."""
+    return _run(tmp_path, "single", width=None, on_error=on_error)
 
 
 def _records(checkpoint):
@@ -124,17 +113,18 @@ def _unit_spans(recorder):
 
 @pytest.mark.parametrize("width", [None, 2])
 def test_quarantine_equals_one_unit_at_a_time(tmp_path, width):
-    values, failed, rec, ckpt = _one_at_a_time(tmp_path, stop_at_first_failure=False)
-    multi_values, multi_failed, multi_rec, multi_ckpt = _all_at_once(
-        tmp_path, width=width, on_error="quarantine"
+    values, failed, rec, ckpt = _one_at_a_time(tmp_path, on_error="quarantine")
+    multi_values, multi_failed, multi_rec, multi_ckpt = _run(
+        tmp_path, f"multi-{width}", width=width, on_error="quarantine"
     )
     assert multi_values == values
+    assert values == [
+        None if i in QUARANTINED else _unit(float(i + 1), seed) for i, seed in enumerate(_seeds())
+    ]
     assert _failures(multi_failed) == _failures(failed)
     assert {i: (cause, n) for i, cause, n in _failures(failed)} == QUARANTINED
-    # run_unit raises where run_units quarantines; that is the only event
-    # the two record differently.
-    assert "resilience.quarantined" not in rec.counters
-    assert multi_rec.counters == {**rec.counters, "resilience.quarantined": len(QUARANTINED)}
+    assert rec.counters["resilience.quarantined"] == len(QUARANTINED)
+    assert multi_rec.counters == rec.counters
     assert multi_rec.counters["resilience.recovered"] == 1
     assert multi_rec.counters["test.units"] == N_UNITS - len(QUARANTINED)
     assert multi_rec.histograms == rec.histograms
@@ -145,19 +135,23 @@ def test_quarantine_equals_one_unit_at_a_time(tmp_path, width):
 
 @pytest.mark.parametrize("width", [None, 2])
 def test_raise_equals_one_unit_at_a_time(tmp_path, width):
-    values, failed, rec, ckpt = _one_at_a_time(tmp_path, stop_at_first_failure=True)
-    _, multi_failed, multi_rec, multi_ckpt = _all_at_once(tmp_path, width=width, on_error="raise")
-    assert values == [_unit(1.0, _seeds()[0])]
+    _, failed, rec, ckpt = _one_at_a_time(tmp_path, on_error="raise")
+    _, multi_failed, multi_rec, multi_ckpt = _run(
+        tmp_path, f"multi-{width}", width=width, on_error="raise"
+    )
     assert _failures(multi_failed) == _failures(failed) == [(1, SimulatedCrashError, 1)]
     assert multi_rec.counters == rec.counters
     assert _records(multi_ckpt) == _records(ckpt)
-    assert len(_records(ckpt)) == 1
+    # Unit 0 settled, and was checkpointed, before unit 1's crash raised.
+    assert [payload for _key, _index, payload in _records(ckpt)] == [
+        _encode(_unit(1.0, _seeds()[0]))
+    ]
 
 
 @pytest.mark.parametrize("width", [None, 2])
 def test_resume_replays_the_checkpoint(tmp_path, width):
     """A second call replays the checkpointed units and runs only the others."""
-    first, _, _, ckpt = _all_at_once(tmp_path, width=width, on_error="quarantine")
+    first, _, _, ckpt = _run(tmp_path, f"multi-{width}", width=width, on_error="quarantine")
     recorder = MetricsRecorder()
     with use_recorder(recorder):
         resumed = ResilientExecutor(checkpoint=ckpt).run_units(
@@ -230,3 +224,55 @@ def test_quarantined_unit_keeps_only_its_draws():
     assert set(done.snapshots[0]) == {"ledger"}
     assert recorder.ledger.total_epsilon == 0.25
     assert not recorder.spans
+
+
+def _serial_batch(mechanism, batch, seed, *, plan=None, on_error="quarantine"):
+    """Run ``batch`` serially under ``plan`` and one zero-delay retry."""
+    chaos = ResilienceConfig(
+        retry=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0),
+        fault_plan=None if plan is None else FaultPlan.parse(plan),
+    )
+    with use_resilience(chaos):
+        return BatchAuctionRunner(mechanism, backend="serial", on_error=on_error).run(
+            batch, seed=seed
+        )
+
+
+def test_recovered_unit_charges_where_a_fault_free_run_does():
+    """Unit 0's retry is admitted before units 1 and 2 draw, so the budget
+    degrades the same unit it degrades without the fault."""
+    batch = seeded_auction_batch(3, n_workers=25, n_tasks=5, seed=0)
+    runs = []
+    for plan in (None, "transient@0:1"):
+        store = InMemoryBudgetStore(limit=1.0)
+        with use_budget_store(store, on_exhausted="degrade"):
+            result = _serial_batch(DPHSRCAuction(0.5), batch, 3, plan=plan)
+        runs.append((result, json.dumps(store.account("default").to_json_obj())))
+    (clean, clean_account), (recovered, recovered_account) = runs
+    assert [o.degraded for o in clean.outcomes] == [False, False, True]
+    assert [o.degraded for o in recovered.outcomes] == [False, False, True]
+    for left, right in zip(clean.outcomes, recovered.outcomes):
+        assert left.price == right.price
+        assert np.array_equal(left.winners, right.winners)
+    assert recovered_account == clean_account
+
+
+def test_in_process_raise_leaves_later_units_unrun_and_uncharged():
+    """``crash@1`` raises before units 2 and 3 start, so the store holds
+    exactly the ε the settled units' ledger holds."""
+    ran = []
+
+    class Counting(DPHSRCAuction):
+        def run(self, instance, rng=None):
+            ran.append(instance)
+            return super().run(instance, rng)
+
+    batch = seeded_auction_batch(4, n_workers=25, n_tasks=5, seed=0)
+    store, recorder = InMemoryBudgetStore(limit=100.0), MetricsRecorder()
+    with pytest.raises(InstanceExecutionError) as info:
+        with use_budget_store(store), use_recorder(recorder):
+            _serial_batch(Counting(0.5), batch, 1, plan="crash@1", on_error="raise")
+    assert info.value.index == 1
+    assert store.spent("default") == recorder.ledger.total_epsilon == 0.5
+    # The planned crash fires before unit 1's body, so only unit 0 ran.
+    assert [i for i, instance in enumerate(batch) if any(instance is r for r in ran)] == [0]

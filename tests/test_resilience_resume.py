@@ -31,18 +31,21 @@ from repro.resilience import (
     use_resilience,
 )
 from repro.experiments.runner import payment_sweep, sweep_checkpoint
+from repro.utils.rng import spawn_seed_sequences
 from repro.workloads import SETTING_I
 
 N_POINTS = 10
 POINTS = [(None, 3 + i) for i in range(N_POINTS)]
 MECHS = {"dp_hsrc": DPHSRCAuction(epsilon=0.1)}
-SWEEP_KWARGS = dict(n_price_samples=100, seed=42)
+SWEEP_KWARGS = dict(n_price_samples=100)
 
 
 def _golden():
     recorder = MetricsRecorder()
     with use_recorder(recorder):
-        results = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
+        results = payment_sweep(
+            SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+        )
     return results, recorder
 
 
@@ -81,7 +84,14 @@ class TestSweepResume:
     def _kill_and_resume(self, tmp_path, *, max_workers):
         golden_results, golden_rec = _golden()
 
-        ckpt = sweep_checkpoint(tmp_path, SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
+        ckpt = sweep_checkpoint(
+            tmp_path,
+            SETTING_I,
+            MECHS,
+            POINTS,
+            spawn_seed_sequences(42, len(POINTS)),
+            **SWEEP_KWARGS,
+        )
         # The "kill": a planned crash at point 6 aborts the sweep after
         # durably checkpointing everything that completed before it.
         chaos = ResilienceConfig(fault_plan=FaultPlan.parse("crash@6"), checkpoint_dir=tmp_path)
@@ -91,6 +101,7 @@ class TestSweepResume:
                     SETTING_I,
                     MECHS,
                     POINTS,
+                    spawn_seed_sequences(42, len(POINTS)),
                     max_workers=max_workers,
                     **SWEEP_KWARGS,
                 )
@@ -106,6 +117,7 @@ class TestSweepResume:
                 SETTING_I,
                 MECHS,
                 POINTS,
+                spawn_seed_sequences(42, len(POINTS)),
                 max_workers=max_workers,
                 **SWEEP_KWARGS,
             )
@@ -123,10 +135,14 @@ class TestSweepResume:
     def test_completed_checkpoint_skips_all_work(self, tmp_path):
         golden_results, _ = _golden()
         with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)):
-            payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
+            payment_sweep(
+                SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+            )
         rec = MetricsRecorder()
         with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)), use_recorder(rec):
-            replayed = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
+            replayed = payment_sweep(
+                SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+            )
         assert replayed == golden_results
         assert rec.counters["resilience.checkpoint.hits"] == N_POINTS
         assert "resilience.checkpoint.writes" not in rec.counters
@@ -136,8 +152,12 @@ class TestSweepResume:
         golden_results, _ = _golden()
         config = ResilienceConfig(checkpoint_dir=tmp_path)
         with use_resilience(config):
-            first = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
-            second = payment_sweep(SETTING_I, MECHS, POINTS, **SWEEP_KWARGS)
+            first = payment_sweep(
+                SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+            )
+            second = payment_sweep(
+                SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+            )
         assert first == golden_results == second
         assert list(tmp_path.glob("payment_sweep-*.jsonl"))
 
@@ -151,9 +171,19 @@ class TestCheckpointIdentity:
 
     def test_sweeps_differing_only_in_points_keep_their_own_results(self, tmp_path):
         sweeps = [[(None, 3), (None, 4)], [(None, 5), (None, 6)]]
-        fresh = [payment_sweep(SETTING_I, MECHS, points, **SWEEP_KWARGS) for points in sweeps]
+        fresh = [
+            payment_sweep(
+                SETTING_I, MECHS, points, spawn_seed_sequences(42, len(points)), **SWEEP_KWARGS
+            )
+            for points in sweeps
+        ]
         with use_resilience(ResilienceConfig(checkpoint_dir=tmp_path)):
-            resumable = [payment_sweep(SETTING_I, MECHS, points, **SWEEP_KWARGS) for points in sweeps]
+            resumable = [
+                payment_sweep(
+                    SETTING_I, MECHS, points, spawn_seed_sequences(42, len(points)), **SWEEP_KWARGS
+                )
+                for points in sweeps
+            ]
         assert resumable == fresh
         assert len(list(tmp_path.glob("payment_sweep-*.jsonl"))) == 2
 
@@ -170,11 +200,12 @@ class TestCheckpointIdentity:
         script = (
             "from repro.experiments.runner import sweep_checkpoint\n"
             "from repro.mechanisms.dp_hsrc import DPHSRCAuction\n"
+            "from repro.utils.rng import spawn_seed_sequences\n"
             "from repro.workloads import SETTING_I\n"
             "mechs = {'dp_hsrc': DPHSRCAuction(epsilon=0.1)}\n"
             "points = [(None, 3 + i) for i in range(10)]\n"
-            "print(sweep_checkpoint('d', SETTING_I, mechs, points, n_price_samples=100, seed=42)"
-            ".path.name)\n"
+            "print(sweep_checkpoint('d', SETTING_I, mechs, points,"
+            " spawn_seed_sequences(42, len(points)), n_price_samples=100).path.name)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -188,7 +219,10 @@ class TestCheckpointIdentity:
             ).stdout.strip()
             for hash_seed in ("1", "2")
         }
-        assert names == {sweep_checkpoint("d", SETTING_I, MECHS, POINTS, **SWEEP_KWARGS).path.name}
+        ckpt = sweep_checkpoint(
+            "d", SETTING_I, MECHS, POINTS, spawn_seed_sequences(42, len(POINTS)), **SWEEP_KWARGS
+        )
+        assert names == {ckpt.path.name}
 
 
 class TestCheckpointFile:

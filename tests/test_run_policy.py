@@ -70,6 +70,21 @@ class TestOnePlaceForRunPolicy:
             "checkpoint",
         ]
 
+    def test_one_unit_loop(self):
+        """``run_units`` is the one way to run units, from index 0, and the
+        figure driver runs its units through ``payment_sweep``."""
+        names = [name for name, _ in _signatures()]
+        assert "repro.resilience.executor:ResilientExecutor.run_unit" not in names
+        assert "start" not in _params("repro.resilience.executor:ResilientExecutor.run_units")
+        tree = ast.parse((SRC / "experiments" / "figure_payment.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"ResilientExecutor", "SweepCheckpoint"}
+
     @pytest.mark.parametrize(
         "qualname",
         [

@@ -39,6 +39,7 @@ from repro.resilience import (
     use_resilience,
 )
 from repro.utils.pool import pool_map, shared_process_pool, shutdown_shared_pools
+from repro.utils.rng import spawn_seed_sequences
 from repro.workloads import SETTING_I
 
 WIDTH = 2
@@ -328,7 +329,8 @@ class TestWarmPaymentSweep:
         recorder = MetricsRecorder()
         with use_recorder(recorder):
             stats = payment_sweep(
-                SETTING_I, SWEEP_MECHANISMS, SWEEP_POINTS, n_price_samples=50, seed=1,
+                SETTING_I, SWEEP_MECHANISMS, SWEEP_POINTS,
+                spawn_seed_sequences(1, len(SWEEP_POINTS)), n_price_samples=50,
                 max_workers=max_workers,
             )
         return stats, recorder
