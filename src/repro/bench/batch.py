@@ -81,6 +81,10 @@ _ON_ERROR = ("quarantine", "raise")
 #: Instance transports accepted by :class:`BatchAuctionRunner`.
 _TRANSPORTS = ("pickle", "shared_memory")
 
+#: Smallest batch that backend ``"auto"`` sends to the process pool: below
+#: it, per-batch dispatch costs more than the parallel speed-up saves.
+_PROCESS_THRESHOLD = 8
+
 
 def _derive_trace_id(
     seeds: Sequence[np.random.SeedSequence], n: int, mechanism_name: str
@@ -233,7 +237,7 @@ class BatchAuctionRunner:
         ``"serial"``, ``"process"``, or ``"auto"`` (default).  ``auto``
         picks the process pool when the batch is large enough to repay
         shipping units to the workers and results back (at least
-        ``process_threshold`` instances) and more than one CPU is
+        :data:`_PROCESS_THRESHOLD` instances) and more than one CPU is
         available, otherwise runs serially.  The pool's workers stay
         warm between batches; only the first process batch of a given
         width pays their fork.
@@ -242,10 +246,6 @@ class BatchAuctionRunner:
         defaults to the CPU count.  Batches of every size share the pool
         of that width; :attr:`BatchRunResult.max_workers` reports it
         capped by the batch size.
-    process_threshold:
-        Minimum batch size for ``auto`` to choose the process pool: below
-        it, per-batch dispatch costs more than the parallel speed-up
-        saves.
     transport:
         How instances reach the execution site: ``"pickle"`` (default —
         instances are serialized into each pool worker) or
@@ -292,7 +292,6 @@ class BatchAuctionRunner:
         *,
         backend: str = "auto",
         max_workers: int | None = None,
-        process_threshold: int = 8,
         transport: str = "pickle",
         on_error: str = "quarantine",
     ) -> None:
@@ -310,7 +309,6 @@ class BatchAuctionRunner:
         self.backend = backend
         self.transport = transport
         self.max_workers = max_workers
-        self.process_threshold = int(process_threshold)
         self.on_error = on_error
 
     def _resolve(self, n_instances: int) -> tuple[str, int]:
@@ -322,7 +320,7 @@ class BatchAuctionRunner:
             return "process", workers
         if self.backend == "serial":
             return "serial", 1
-        if n_instances >= self.process_threshold and workers > 1 and cpus > 1:
+        if n_instances >= _PROCESS_THRESHOLD and workers > 1 and cpus > 1:
             return "process", workers
         return "serial", 1
 

@@ -217,7 +217,7 @@ def _run_online_cell(cell: CellSpec, context: CellContext):
         OnlineThresholdMechanism,
     )
     from repro.workloads import OnlineArrivalStream, generate_instance
-    from repro.workloads.settings import SimulationSetting
+    from repro.workloads.streams import ONLINE_SETTING
 
     knobs, fast, seed = cell_run_params(cell, context)
     orders = [str(o) for o in knobs.pop("orders", ["uniform", "bursty", "adversarial"])]
@@ -233,20 +233,9 @@ def _run_online_cell(cell: CellSpec, context: CellContext):
             f"cell {cell.name!r}: unknown online_stream knobs {sorted(knobs)}"
         )
 
-    setting = SimulationSetting(
-        name=f"campaign-{cell.name}",
-        epsilon=0.5 if dp is None else float(dp),
-        c_min=1.0,
-        c_max=10.0,
-        bundle_size=(3, 5),
-        skill_range=(0.3, 0.95),
-        error_threshold_range=(0.3, 0.5),
-        n_workers=n_workers,
-        n_tasks=n_tasks,
-        price_range=(4.0, 10.0),
-        grid_step=0.5,
+    instance, _pool = generate_instance(
+        ONLINE_SETTING.with_population(n_workers=n_workers, n_tasks=n_tasks), seed=seed
     )
-    instance, _pool = generate_instance(setting, seed=seed)
     if dp is None:
         mechanism = OnlineThresholdMechanism(budget=budget, n_stages=n_stages)
     else:

@@ -46,8 +46,7 @@ Resilience (see docs/RESILIENCE.md)::
 ``--max-retries``/``--resume``/``--fault-plan`` install an ambient
 :class:`repro.resilience.ResilienceConfig` around the experiment runs.
 Retries and resumes replay each unit's original seed, so recovered and
-resumed series are bit-identical to an uninterrupted run; a permanent
-instance failure exits with code 3.
+resumed series are bit-identical to an uninterrupted run.
 
 Performance (see docs/USAGE.md §Sharing the price sweep)::
 
@@ -67,9 +66,20 @@ Privacy budget (see docs/PRIVACY_BUDGET.md)::
 ``--budget``/``--budget-store`` install an ambient
 :class:`repro.privacy.budget.BudgetStore` (durable when a store path is
 given) charged by every ε-consuming draw; ``--on-exhausted`` picks the
-admission policy (``refuse`` exits with code 4, ``degrade`` falls back
-to the baseline mechanism).  The ``audit`` pseudo-experiment renders the
+admission policy (``refuse`` stops the run, ``degrade`` falls back to
+the baseline mechanism).  The ``audit`` pseudo-experiment renders the
 per-account audit report of an existing journal.
+
+``repro <experiment>``, ``repro campaign`` and ``repro online`` share one
+exit-code table; a failure prints one ``error:`` line, and a ``hint:``
+line for codes 3 and 4::
+
+    0  success
+    2  invalid arguments, spec or checkpoint (ValueError, CheckpointError)
+    3  a unit failed for good or an injected fault fired (resume hint)
+    4  a privacy budget is exhausted under --on-exhausted refuse
+
+``repro trace`` exits 1 on an invalid or unreadable trace.
 """
 
 from __future__ import annotations
@@ -79,9 +89,12 @@ import importlib
 import logging
 import os
 import sys
-from typing import Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Sequence
 
+from repro.exceptions import BudgetExceededError, CheckpointError, InstanceExecutionError
 from repro.experiments import EXPERIMENTS
+from repro.resilience import FaultInjectedError
 
 __all__ = ["main", "run_experiment", "configure_logging"]
 
@@ -123,6 +136,120 @@ def run_experiment(name: str, *, fast: bool = False, seed: int = 0):
         )
     module = importlib.import_module(f"repro.experiments.{name}")
     return module.run(fast=fast, seed=seed)
+
+
+def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the run-policy flags that :func:`_run_policy` installs."""
+    parser.add_argument(
+        "--max-retries", type=int, default=None, metavar="N",
+        help=(
+            "retry transient unit failures (instances, sweep points, campaign "
+            "cells) up to N times on a deterministic backoff schedule; retries "
+            "reuse the unit's seed, so recovered results are bit-identical"
+        ),
+    )
+    parser.add_argument(
+        "--fault-plan", default=None, metavar="SPEC",
+        help=(
+            "inject seeded faults for chaos testing, e.g. 'crash@2,transient@5:2' "
+            "(kinds: crash, timeout, transient, poison; see docs/RESILIENCE.md)"
+        ),
+    )
+    parser.add_argument(
+        "--budget", type=float, default=None, metavar="EPS",
+        help=(
+            "per-tenant privacy budget (a campaign cell is its own tenant): "
+            "admission stops a tenant whose ε-consuming draws would exceed EPS "
+            "(see docs/PRIVACY_BUDGET.md)"
+        ),
+    )
+    parser.add_argument(
+        "--budget-store", default=None, metavar="PATH",
+        help=(
+            "durable append-only JSON-lines budget journal; reopening the same "
+            "PATH resumes its accounts (required by the 'audit' pseudo-experiment)"
+        ),
+    )
+    parser.add_argument(
+        "--on-exhausted", choices=("refuse", "degrade"), default="refuse",
+        help=(
+            "admission policy for an exhausted tenant: 'refuse' exits 4, "
+            "'degrade' serves the baseline mechanism instead (default: refuse)"
+        ),
+    )
+
+
+@contextmanager
+def _run_policy(
+    args: argparse.Namespace, *, limit: float | None, checkpoint_dir: str | None = None
+) -> Iterator:
+    """Install the run policy that ``args`` asks for; yields the budget store.
+
+    Builds the :class:`~repro.resilience.ResilienceConfig` (retry policy,
+    fault plan, ``checkpoint_dir``) and, when ``--budget-store`` or
+    ``limit`` is set, a durable or an in-memory budget store, then enters
+    the store, its ``use_budget_store`` scope and ``use_resilience``.  The
+    store is ``None`` when neither is set.  ``repro online`` declares no
+    ``--max-retries`` or ``--budget-store`` and passes ``--privacy-limit``
+    as ``limit``.  An invalid value raises before anything is entered.
+    """
+    from repro.privacy.budget import InMemoryBudgetStore, JsonlBudgetStore, use_budget_store
+    from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy, use_resilience
+
+    max_retries = getattr(args, "max_retries", None)
+    config = ResilienceConfig(
+        retry=None if max_retries is None else RetryPolicy(max_retries=max_retries),
+        fault_plan=None if args.fault_plan is None else FaultPlan.parse(args.fault_plan),
+        checkpoint_dir=checkpoint_dir,
+    )
+    path = getattr(args, "budget_store", None)
+    with ExitStack() as stack:
+        store = None
+        if path is not None:
+            store = stack.enter_context(JsonlBudgetStore(path, limit=limit))
+        elif limit is not None:
+            store = InMemoryBudgetStore(limit=limit)
+        if store is not None:
+            stack.enter_context(use_budget_store(store, on_exhausted=args.on_exhausted))
+        stack.enter_context(use_resilience(config))
+        yield store
+
+
+#: What a command catches around its run; :func:`_exit_code` maps each to
+#: its exit code.
+_FAILURES = (
+    ValueError,
+    CheckpointError,
+    InstanceExecutionError,
+    FaultInjectedError,
+    BudgetExceededError,
+)
+
+
+def _exit_code(
+    exc: BaseException, *, limit_flag: str = "--budget", resume: str | None = None
+) -> int:
+    """Report one of :data:`_FAILURES` on stderr and return its exit code.
+
+    4 for an exhausted privacy budget, raw or as a failed unit's cause,
+    with a hint naming ``limit_flag``; 3 for a failed unit or an injected
+    fault, with the ``resume`` hint when there is one; 2 otherwise
+    (invalid arguments, spec or checkpoint).
+    """
+    print(f"error: {exc}", file=sys.stderr)
+    cause = exc.cause if isinstance(exc, InstanceExecutionError) else exc
+    if isinstance(cause, BudgetExceededError):
+        print(
+            f"hint: the privacy budget is exhausted; raise {limit_flag} or use "
+            "--on-exhausted degrade",
+            file=sys.stderr,
+        )
+        return 4
+    if isinstance(exc, (InstanceExecutionError, FaultInjectedError)):
+        if resume is not None:
+            print(f"hint: {resume}", file=sys.stderr)
+        return 3
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,17 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "retry transient instance/point failures up to N times on a "
-            "deterministic exponential-backoff schedule (retries reuse the "
-            "unit's original seed, so recovered results are bit-identical)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
@@ -221,47 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "results are bit-identical, only slower (see docs/USAGE.md)"
         ),
     )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject seeded faults for chaos testing, e.g. "
-            "'crash@2,transient@5:2' (kinds: crash, timeout, transient, "
-            "poison; see docs/RESILIENCE.md)"
-        ),
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help=(
-            "per-tenant privacy budget: every ε-consuming draw charges an "
-            "ambient budget store and admission stops a tenant that would "
-            "exceed EPS (see docs/PRIVACY_BUDGET.md)"
-        ),
-    )
-    parser.add_argument(
-        "--budget-store",
-        default=None,
-        metavar="PATH",
-        help=(
-            "durable append-only JSON-lines budget journal; reopening the "
-            "same PATH resumes the accounts across runs (required by the "
-            "'audit' pseudo-experiment)"
-        ),
-    )
-    parser.add_argument(
-        "--on-exhausted",
-        choices=("refuse", "degrade"),
-        default="refuse",
-        help=(
-            "admission policy for an exhausted tenant: 'refuse' aborts with "
-            "exit code 4, 'degrade' serves the baseline mechanism instead "
-            "(outcomes tagged degraded; default: refuse)"
-        ),
-    )
+    _add_policy_flags(parser)
     return parser
 
 
@@ -320,8 +396,8 @@ def _online_main(argv: Sequence[str]) -> int:
     the committed outcome.  ``--resume PATH`` checkpoints stage-boundary
     state into PATH and resumes bit-identically after a kill;
     ``--fault-plan`` injects stage-indexed faults for chaos drills.
-    Exit codes: 0 ok, 2 invalid arguments, 3 injected fault (re-run with
-    the same ``--resume`` to recover), 4 privacy budget exhausted.
+    Exit codes follow the module's table; ``--privacy-limit`` is the
+    limit a code-4 hint names.
     """
     parser = argparse.ArgumentParser(
         prog="repro online",
@@ -388,35 +464,19 @@ def _online_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from contextlib import ExitStack, nullcontext
-
-    from repro.exceptions import BudgetExceededError
     from repro.mechanisms.online import (
         DPOnlineThresholdMechanism,
         OnlineThresholdMechanism,
         run_checkpointed,
     )
-    from repro.privacy.budget import InMemoryBudgetStore, use_budget_store
-    from repro.resilience import FaultPlan, ResilienceConfig, use_resilience
-    from repro.resilience.faults import FaultInjectedError
     from repro.workloads import OnlineArrivalStream, generate_instance
-    from repro.workloads.settings import SimulationSetting
+    from repro.workloads.streams import ONLINE_SETTING
 
     try:
-        setting = SimulationSetting(
-            name="online-cli",
-            epsilon=args.dp if args.dp is not None else 0.5,
-            c_min=1.0,
-            c_max=10.0,
-            bundle_size=(3, 5),
-            skill_range=(0.3, 0.95),
-            error_threshold_range=(0.3, 0.5),
-            n_workers=args.workers,
-            n_tasks=args.tasks,
-            price_range=(4.0, 10.0),
-            grid_step=0.5,
+        instance, _pool = generate_instance(
+            ONLINE_SETTING.with_population(n_workers=args.workers, n_tasks=args.tasks),
+            seed=args.seed,
         )
-        instance, _pool = generate_instance(setting, seed=args.seed)
         stream = OnlineArrivalStream(
             instance, order=args.order, seed=args.seed, churn=args.churn
         )
@@ -428,44 +488,22 @@ def _online_main(argv: Sequence[str]) -> int:
             mechanism = OnlineThresholdMechanism(
                 budget=args.budget, n_stages=args.stages
             )
-        fault_plan = (
-            None if args.fault_plan is None else FaultPlan.parse(args.fault_plan)
-        )
-        budget_scope = (
-            nullcontext()
-            if args.privacy_limit is None
-            else use_budget_store(
-                InMemoryBudgetStore(limit=args.privacy_limit),
-                on_exhausted=args.on_exhausted,
-            )
-        )
-        with ExitStack() as stack:
-            stack.enter_context(budget_scope)
-            stack.enter_context(use_resilience(ResilienceConfig(fault_plan=fault_plan)))
+        with _run_policy(args, limit=args.privacy_limit):
             if args.resume is not None:
                 outcome = run_checkpointed(mechanism, stream, args.resume, seed=args.seed)
             else:
                 outcome = mechanism.run(stream, seed=args.seed)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: raise --privacy-limit or use --on-exhausted degrade to "
-            "finish with non-private calibration",
-            file=sys.stderr,
+    except _FAILURES as exc:
+        return _exit_code(
+            exc,
+            limit_flag="--privacy-limit",
+            resume=None
+            if args.resume is None
+            else (
+                f"stages completed so far are checkpointed in {args.resume}; "
+                "re-run the same command to resume"
+            ),
         )
-        return 4
-    except FaultInjectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.resume is not None:
-            print(
-                f"hint: stages completed so far are checkpointed in "
-                f"{args.resume}; re-run the same command to resume",
-                file=sys.stderr,
-            )
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     print(
         f"online[{mechanism.name}] workers={instance.n_workers} "
@@ -525,44 +563,14 @@ def _campaign_main(argv: Sequence[str]) -> int:
     checkpoint; ``status`` lists per-cell progress; ``report`` renders
     the cross-cell comparison (``--json`` for the ``repro-campaign/1``
     document).  A completed run/resume writes ``report.txt`` and
-    ``report.json`` into the campaign directory.  Exit codes: 0 ok,
-    2 invalid arguments/spec, 3 cell failure (re-run ``resume`` to
-    recover), 4 privacy budget exhausted.
+    ``report.json`` into the campaign directory.  Exit codes follow the
+    module's table; a spec that cannot be read or parsed exits 2.
     """
     parser = argparse.ArgumentParser(
         prog="repro campaign",
         description="Run, resume, and report declarative experiment campaigns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(cmd: argparse.ArgumentParser, *, resilience: bool) -> None:
-        cmd.add_argument(
-            "--dir", required=True, metavar="DIR",
-            help="campaign directory (spec pin, checkpoint, per-cell artifacts)",
-        )
-        if not resilience:
-            return
-        cmd.add_argument(
-            "--max-retries", type=int, default=None, metavar="N",
-            help="retry transient cell failures up to N times",
-        )
-        cmd.add_argument(
-            "--fault-plan", default=None, metavar="SPEC",
-            help="inject cell-indexed faults, e.g. 'crash@2' (chaos drills)",
-        )
-        cmd.add_argument(
-            "--budget", type=float, default=None, metavar="EPS",
-            help="per-cell privacy budget (each cell charges its own tenant)",
-        )
-        cmd.add_argument(
-            "--budget-store", default=None, metavar="PATH",
-            help="durable JSON-lines budget journal shared across cells",
-        )
-        cmd.add_argument(
-            "--on-exhausted", choices=("refuse", "degrade"), default="refuse",
-            help="admission policy for an exhausted cell tenant (default refuse)",
-        )
-
     run_cmd = sub.add_parser("run", help="pin a spec and execute the grid")
     group = run_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument(
@@ -580,16 +588,10 @@ def _campaign_main(argv: Sequence[str]) -> int:
         "--fast", action="store_true", default=None,
         help="CI-sized cells (presets keep their own default when omitted)",
     )
-    add_common(run_cmd, resilience=True)
-
     resume_cmd = sub.add_parser(
         "resume", help="continue the pinned campaign from its checkpoint"
     )
-    add_common(resume_cmd, resilience=True)
-
     status_cmd = sub.add_parser("status", help="per-cell progress of a campaign")
-    add_common(status_cmd, resilience=False)
-
     report_cmd = sub.add_parser(
         "report", help="render the cross-cell report from completed cells"
     )
@@ -597,12 +599,17 @@ def _campaign_main(argv: Sequence[str]) -> int:
         "--json", action="store_true",
         help="emit the repro-campaign/1 JSON document instead of ASCII",
     )
-    add_common(report_cmd, resilience=False)
+    for cmd in (run_cmd, resume_cmd, status_cmd, report_cmd):
+        cmd.add_argument(
+            "--dir", required=True, metavar="DIR",
+            help="campaign directory (spec pin, checkpoint, per-cell artifacts)",
+        )
+    for cmd in (run_cmd, resume_cmd):
+        _add_policy_flags(cmd)
 
     args = parser.parse_args(argv)
 
     import json
-    from contextlib import ExitStack, nullcontext
     from pathlib import Path
 
     from repro.campaign import (
@@ -613,18 +620,6 @@ def _campaign_main(argv: Sequence[str]) -> int:
         render_report,
         report_json,
     )
-    from repro.exceptions import (
-        BudgetExceededError,
-        CheckpointError,
-        InstanceExecutionError,
-        ValidationError,
-    )
-    from repro.privacy.budget import (
-        InMemoryBudgetStore,
-        JsonlBudgetStore,
-        use_budget_store,
-    )
-    from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy, use_resilience
 
     directory = Path(args.dir)
     try:
@@ -643,85 +638,40 @@ def _campaign_main(argv: Sequence[str]) -> int:
                     return 2
         else:
             spec = CampaignRunner.load_spec(directory)
-    except (OSError, ValueError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "status":
-        runner = CampaignRunner(spec, directory)
-        width = max(len(s["cell"]) for s in runner.status())
-        done = 0
-        for entry in runner.status():
-            done += entry["status"] == "done"
-            print(
-                f"{entry['cell']:<{width}}  {entry['status']:<7}  "
-                f"kind={entry['kind']} tenant={entry['tenant']}"
-            )
-        print(f"{done}/{spec.n_cells} cells done")
-        return 0
-
-    if args.command == "report":
-        runner = CampaignRunner(spec, directory)
-        doc = build_report(spec, runner.payloads())
-        if args.json:
-            sys.stdout.write(report_json(doc))
-        else:
-            print(render_report(doc))
-        return 0
-
-    try:
-        retry = None
-        if args.max_retries is not None:
-            retry = RetryPolicy(max_retries=args.max_retries)
-        fault_plan = (
-            None if args.fault_plan is None else FaultPlan.parse(args.fault_plan)
-        )
-        budget_store = None
-        if args.budget_store is not None:
-            budget_store = JsonlBudgetStore(args.budget_store, limit=args.budget)
-        elif args.budget is not None:
-            budget_store = InMemoryBudgetStore(limit=args.budget)
-    except (ValueError, CheckpointError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     runner = CampaignRunner(spec, directory)
-    budget_scope = (
-        nullcontext()
-        if budget_store is None
-        else use_budget_store(budget_store, on_exhausted=args.on_exhausted)
-    )
     try:
-        with ExitStack() as stack:
-            if isinstance(budget_store, JsonlBudgetStore):
-                stack.enter_context(budget_store)
-            stack.enter_context(budget_scope)
-            stack.enter_context(
-                use_resilience(ResilienceConfig(retry=retry, fault_plan=fault_plan))
-            )
+        if args.command == "status":
+            entries = runner.status()
+            width = max(len(entry["cell"]) for entry in entries)
+            for entry in entries:
+                print(
+                    f"{entry['cell']:<{width}}  {entry['status']:<7}  "
+                    f"kind={entry['kind']} tenant={entry['tenant']}"
+                )
+            done = sum(entry["status"] == "done" for entry in entries)
+            print(f"{done}/{spec.n_cells} cells done")
+            return 0
+        if args.command == "report":
+            doc = build_report(spec, runner.payloads())
+            if args.json:
+                sys.stdout.write(report_json(doc))
+            else:
+                print(render_report(doc))
+            return 0
+        with _run_policy(args, limit=args.budget):
             payloads = runner.run()
-    except InstanceExecutionError as exc:
-        if isinstance(exc.cause, BudgetExceededError):
-            print(f"error: {exc}", file=sys.stderr)
-            print(
-                "hint: the cell's privacy budget is exhausted; raise --budget "
-                "or use --on-exhausted degrade",
-                file=sys.stderr,
-            )
-            return 4
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            f"hint: completed cells are checkpointed in {directory}; run "
-            f"'repro campaign resume --dir {directory}' to continue",
-            file=sys.stderr,
+    except _FAILURES as exc:
+        return _exit_code(
+            exc,
+            resume=(
+                f"completed cells are checkpointed in {directory}; run "
+                f"'repro campaign resume --dir {directory}' to continue"
+            ),
         )
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     doc = build_report(spec, payloads)
     text = render_report(doc)
@@ -759,7 +709,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.experiment == "audit":
-        from repro.exceptions import CheckpointError
         from repro.privacy.budget import JsonlBudgetStore, render_audit_report
 
         if args.budget_store is None:
@@ -768,32 +717,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             with JsonlBudgetStore.open_for_audit(args.budget_store) as store:
                 print(render_audit_report(store))
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        except _FAILURES as exc:
+            return _exit_code(exc)
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.output is not None and len(names) != 1:
         print("error: --output requires a single experiment", file=sys.stderr)
         return 2
-    from contextlib import ExitStack, nullcontext
-
     from repro.engine import SweepEngine, current_engine, use_engine
-    from repro.exceptions import (
-        BudgetExceededError,
-        CheckpointError,
-        InstanceExecutionError,
-    )
     from repro.experiments.export import render
     from repro.obs import NULL_RECORDER, MetricsRecorder, use_recorder
-    from repro.privacy.budget import (
-        InMemoryBudgetStore,
-        JsonlBudgetStore,
-        render_audit_report,
-        use_budget_store,
-    )
-    from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy, use_resilience
+    from repro.privacy.budget import render_audit_report
 
     # A non-ascii --metrics-format implies metrics recording: asking for
     # an OpenMetrics/JSON exposition without --metrics would otherwise
@@ -802,43 +737,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     recorder = (
         MetricsRecorder() if (args.trace is not None or want_metrics) else NULL_RECORDER
     )
-    try:
-        retry = None
-        if args.max_retries is not None:
-            retry = RetryPolicy(max_retries=args.max_retries)
-        fault_plan = None if args.fault_plan is None else FaultPlan.parse(args.fault_plan)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    resilience = ResilienceConfig(
-        retry=retry, fault_plan=fault_plan, checkpoint_dir=args.resume
-    )
     # --no-plan-cache installs an ambient pass-through engine; every
     # scoped_engine() inside the experiments clones its policy, so no
     # sweep plan is cached anywhere in the run.
     engine = SweepEngine(cache=False) if args.no_plan_cache else current_engine()
-    budget_store = None
     try:
-        if args.budget_store is not None:
-            budget_store = JsonlBudgetStore(args.budget_store, limit=args.budget)
-        elif args.budget is not None:
-            budget_store = InMemoryBudgetStore(limit=args.budget)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    budget_scope = (
-        nullcontext()
-        if budget_store is None
-        else use_budget_store(budget_store, on_exhausted=args.on_exhausted)
-    )
-    try:
-        with ExitStack() as stack:
-            if isinstance(budget_store, JsonlBudgetStore):
-                stack.enter_context(budget_store)
-            stack.enter_context(use_recorder(recorder))
-            stack.enter_context(use_resilience(resilience))
-            stack.enter_context(use_engine(engine))
-            stack.enter_context(budget_scope)
+        with (
+            _run_policy(args, limit=args.budget, checkpoint_dir=args.resume) as budget_store,
+            use_recorder(recorder),
+            use_engine(engine),
+        ):
             for name in names:
                 with recorder.span("experiment", name, fast=args.fast, seed=args.seed):
                     result = run_experiment(name, fast=args.fast, seed=args.seed)
@@ -857,36 +765,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else:
                     print(text)
                     print()
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: the privacy budget is exhausted; raise --budget, renew the "
-            "journal, or use --on-exhausted degrade to fall back to the "
-            "baseline mechanism",
-            file=sys.stderr,
+    except _FAILURES as exc:
+        return _exit_code(
+            exc,
+            resume=None
+            if args.resume is None
+            else (
+                f"completed work is checkpointed under {args.resume}; "
+                "re-run the same command to resume"
+            ),
         )
-        return 4
-    except InstanceExecutionError as exc:
-        if isinstance(exc.cause, BudgetExceededError):
-            print(f"error: {exc}", file=sys.stderr)
-            print(
-                "hint: the privacy budget is exhausted; raise --budget, renew "
-                "the journal, or use --on-exhausted degrade to fall back to "
-                "the baseline mechanism",
-                file=sys.stderr,
-            )
-            return 4
-        print(f"error: {exc}", file=sys.stderr)
-        if args.resume is not None:
-            print(
-                f"hint: completed work is checkpointed under {args.resume}; "
-                "re-run the same command to resume",
-                file=sys.stderr,
-            )
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if want_metrics:
         if args.metrics_format == "openmetrics":
             from repro.obs import render_openmetrics

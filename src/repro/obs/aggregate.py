@@ -17,9 +17,11 @@ Merging is **deterministic**: bucket counts are integers, integer
 addition is associative and commutative, and quantile queries walk the
 buckets in sorted key order — so the quantiles of a sketch merged from
 per-process partials are *bit-identical* to the serially accumulated
-sketch, no matter how the work was partitioned.  (The float ``sum`` is
-reduced in merge order, which the recorder keeps fixed at input order —
-the same contract all snapshot merging already follows.)
+sketch, no matter how the work was partitioned.  The ``sum`` is exact
+too: it is kept as Shewchuk partials (the algorithm of :func:`math.fsum`),
+which represent the exact sum of every observation, and reported
+correctly rounded, so it does not depend on how observations were
+grouped before merging either.
 
 Exact ``count``/``sum``/``min``/``max`` ride along, zero is its own
 bucket, and negative values mirror into their own bucket store, so
@@ -69,7 +71,7 @@ class QuantileSketch:
         "_log_gamma",
         "_rep_coeff",
         "count",
-        "sum",
+        "_partials",
         "min",
         "max",
         "_zero",
@@ -88,7 +90,7 @@ class QuantileSketch:
         self._log_gamma = math.log(self._gamma)
         self._rep_coeff = 2.0 / (1.0 + self._gamma)
         self.count = 0
-        self.sum = 0.0
+        self._partials: list[float] = []
         self.min = math.inf
         self.max = -math.inf
         self._zero = 0
@@ -108,13 +110,29 @@ class QuantileSketch:
         except OverflowError:  # pragma: no cover - values near float max
             return math.inf
 
+    def _add_exact(self, value: float) -> None:
+        # Shewchuk's msum: fold ``value`` into the non-overlapping partials
+        # so that they still sum exactly to every value added so far.
+        partials = self._partials
+        i = 0
+        for partial in partials:
+            if abs(value) < abs(partial):
+                value, partial = partial, value
+            high = value + partial
+            low = partial - (high - value)
+            if low:
+                partials[i] = low
+                i += 1
+            value = high
+        partials[i:] = [value]
+
     def observe(self, value: float) -> None:
         """Absorb one sample."""
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"cannot observe non-finite value {value!r}")
         self.count += 1
-        self.sum += value
+        self._add_exact(value)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -134,6 +152,11 @@ class QuantileSketch:
             self.observe(value)
 
     # -- queries --------------------------------------------------------
+
+    @property
+    def sum(self) -> float:
+        """Sum of every observation, correctly rounded from the exact sum."""
+        return math.fsum(self._partials)
 
     @property
     def mean(self) -> float:
@@ -213,7 +236,8 @@ class QuantileSketch:
                 f"({self.relative_error} vs {other.relative_error})"
             )
         self.count += other.count
-        self.sum += other.sum
+        for partial in tuple(other._partials):  # a copy: ``other`` may be ``self``
+            self._add_exact(partial)
         if other.min < self.min:
             self.min = other.min
         if other.max > self.max:
@@ -236,6 +260,7 @@ class QuantileSketch:
             "relative_error": self.relative_error,
             "count": self.count,
             "sum": self.sum,
+            "partials": list(self._partials),
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "zero": self._zero,
@@ -245,14 +270,18 @@ class QuantileSketch:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "QuantileSketch":
-        """Rebuild a sketch from :meth:`to_json_obj` output."""
+        """Rebuild a sketch from :meth:`to_json_obj` output.
+
+        A dump without ``partials`` (written before the sum was kept
+        exact) restores its ``sum`` as the one partial.
+        """
         if obj.get("type") != SKETCH_TYPE:
             raise ValueError(
                 f"not a serialized {SKETCH_TYPE} (type={obj.get('type')!r})"
             )
         sketch = cls(relative_error=float(obj["relative_error"]))
         sketch.count = int(obj["count"])
-        sketch.sum = float(obj["sum"])
+        sketch._partials = [float(p) for p in obj.get("partials", [obj["sum"]])]
         sketch.min = math.inf if obj.get("min") is None else float(obj["min"])
         sketch.max = -math.inf if obj.get("max") is None else float(obj["max"])
         sketch._zero = int(obj.get("zero", 0))

@@ -41,11 +41,37 @@ import numpy as np
 
 from repro.auction.instance import AuctionInstance
 from repro.exceptions import ValidationError
+from repro.workloads.settings import SimulationSetting
 
-__all__ = ["ARRIVAL_ORDERS", "OnlineArrivalStream", "static_density", "static_gains"]
+__all__ = [
+    "ARRIVAL_ORDERS",
+    "ONLINE_SETTING",
+    "OnlineArrivalStream",
+    "static_density",
+    "static_gains",
+]
 
 #: The arrival orderings a stream can realize.
 ARRIVAL_ORDERS = ("uniform", "as_given", "adversarial", "bursty")
+
+#: The market ``repro online`` and the campaign's ``online_stream`` cells
+#: stream: Table I's shape on a 1–10 cost scale.  Size it with
+#: :meth:`~repro.workloads.settings.SimulationSetting.with_population`;
+#: :func:`~repro.workloads.generator.generate_instance` reads neither its
+#: ``name`` nor its ``epsilon`` (the DP variant takes its own ε).
+ONLINE_SETTING = SimulationSetting(
+    name="online",
+    epsilon=0.5,
+    c_min=1.0,
+    c_max=10.0,
+    bundle_size=(3, 5),
+    skill_range=(0.3, 0.95),
+    error_threshold_range=(0.3, 0.5),
+    n_workers=200,
+    n_tasks=8,
+    price_range=(4.0, 10.0),
+    grid_step=0.5,
+)
 
 
 def static_gains(instance: AuctionInstance) -> np.ndarray:

@@ -84,9 +84,7 @@ class TestBatchedVsSerial:
 
 class TestBackendResolution:
     def test_auto_small_batch_stays_serial(self, batch):
-        runner = BatchAuctionRunner(
-            DPHSRCAuction(epsilon=0.5), backend="auto", process_threshold=10_000
-        )
+        runner = BatchAuctionRunner(DPHSRCAuction(epsilon=0.5), backend="auto")
         result = runner.run(batch[:3], seed=0)
         assert result.backend == "serial"
 

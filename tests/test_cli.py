@@ -119,6 +119,47 @@ class TestObservabilityFlags:
             logger.handlers[:] = before_handlers
 
 
+class TestExitContract:
+    """``repro``, ``repro online`` and ``repro campaign`` share one exit table:
+    an invalid value or an unusable checkpoint exits 2 with one error line."""
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_invalid_budget_exits_2(self, capsys, budget):
+        assert main(["table1", "--budget", budget]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_online_resume_under_another_seed_exits_2(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ck.jsonl")
+        args = ["online", "--budget", "120", "--stages", "3", "--workers", "60"]
+        assert main([*args, "--resume", ckpt, "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main([*args, "--seed", "4", "--resume", ckpt]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("command", ["resume", "status", "report"])
+    def test_corrupted_campaign_checkpoint_exits_2(self, capsys, tmp_path, command):
+        import json
+
+        from repro.campaign import CampaignSpec, CellSpec
+
+        spec = CampaignSpec(
+            name="one", fast=True, cells=(CellSpec(name="table1", kind="experiment"),)
+        )
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_payload()))
+        directory = tmp_path / "camp"
+        assert main(["campaign", "run", "--spec", str(spec_file), "--dir", str(directory)]) == 0
+        checkpoint = directory / "checkpoint.jsonl"
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        lines[1] = "{}\n"  # a well-formed line that is not a checkpoint record
+        checkpoint.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["campaign", command, "--dir", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "line 2" in err
+
+
 class TestMetricsFormats:
     def test_openmetrics_format_passes_the_strict_parser(self, capsys):
         from repro.obs import parse_openmetrics

@@ -141,6 +141,20 @@ class TestMerge:
         for q in (0.1, 0.5, 0.9, 0.99):
             assert forward.quantile(q) == backward.quantile(q)
 
+    def test_sum_does_not_depend_on_grouping(self):
+        # A running float sum reads 0.6000000000000001 directly and 0.6
+        # merged; the exact partials give the correctly rounded 0.6 both ways.
+        direct = QuantileSketch()
+        direct.observe_many([0.1, 0.2, 0.3])
+        merged, tail = QuantileSketch(), QuantileSketch()
+        merged.observe(0.1)
+        tail.observe_many([0.2, 0.3])
+        merged.merge(tail)
+        assert direct.sum == merged.sum == 0.6
+        assert direct == merged
+        direct.merge(direct)
+        assert direct.sum == 1.2  # the exact 2·(0.1 + 0.2 + 0.3), rounded once
+
     def test_merge_rejects_mismatched_relative_error(self):
         a = QuantileSketch(relative_error=0.01)
         b = QuantileSketch(relative_error=0.001)
@@ -158,6 +172,24 @@ class TestSerialization:
         assert back == sketch
         for q in (0.0, 0.5, 0.99, 1.0):
             assert back.quantile(q) == sketch.quantile(q)
+
+    def test_round_trip_keeps_the_exact_sum(self):
+        sketch = QuantileSketch()
+        sketch.observe_many([0.1, 0.2])
+        back = QuantileSketch.from_json_obj(json.loads(json.dumps(sketch.to_json_obj())))
+        for part in (sketch, back):
+            part.observe(0.3)
+        assert back == sketch
+        assert back.sum == 0.6
+
+    def test_dump_without_partials_restores_its_sum(self):
+        sketch = QuantileSketch()
+        sketch.observe_many([0.1, 0.2, 0.3])
+        obj = sketch.to_json_obj()
+        del obj["partials"]
+        back = QuantileSketch.from_json_obj(obj)
+        assert back.sum == sketch.sum
+        assert back == sketch
 
     def test_type_tag_enforced(self):
         with pytest.raises(ValueError, match="quantile_sketch"):
