@@ -252,6 +252,18 @@ def _exit_code(
     return 2
 
 
+def _resume_hint(args: argparse.Namespace, checkpointed: str) -> str | None:
+    """The code-3 hint of a ``--resume`` run (``None`` without one).
+
+    A rerun that kept ``--fault-plan`` would replay the checkpointed
+    prefix and fire the same fault again, so the hint drops the flag.
+    """
+    if args.resume is None:
+        return None
+    drop = ", without --fault-plan" if args.fault_plan is not None else ""
+    return f"{checkpointed}; re-run the same command to resume{drop}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -497,11 +509,8 @@ def _online_main(argv: Sequence[str]) -> int:
         return _exit_code(
             exc,
             limit_flag="--privacy-limit",
-            resume=None
-            if args.resume is None
-            else (
-                f"stages completed so far are checkpointed in {args.resume}; "
-                "re-run the same command to resume"
+            resume=_resume_hint(
+                args, f"stages completed so far are checkpointed in {args.resume}"
             ),
         )
 
@@ -767,13 +776,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print()
     except _FAILURES as exc:
         return _exit_code(
-            exc,
-            resume=None
-            if args.resume is None
-            else (
-                f"completed work is checkpointed under {args.resume}; "
-                "re-run the same command to resume"
-            ),
+            exc, resume=_resume_hint(args, f"completed work is checkpointed under {args.resume}")
         )
     if want_metrics:
         if args.metrics_format == "openmetrics":

@@ -9,11 +9,12 @@ demand shrinks.  CELF (Leskovec et al., KDD 2007) exploits this: gains
 cached from earlier residuals are upper bounds, so a row whose cached
 gain falls clearly below the best exact gain need not be re-scored.
 
-This kernel keeps two per-row arrays instead of CELF's heap: ``bound``
-(the cached truncated gain, ``-inf`` once a row is picked; rows outside
-the budget mask are left out) and ``exact`` (the same value while it is
-known to be the exact gain, ``-inf`` once the row is *stale*, i.e. its
-bound may exceed the exact gain).  Each step
+This kernel keeps two arrays with one slot per item instead of CELF's
+heap: ``bound`` (the cached truncated gain, ``-inf`` once an item is
+picked and from the start for items outside the budget mask) and
+``exact`` (the same value while it is known to be the exact gain,
+``-inf`` once the row is *stale*, i.e. its bound may exceed the exact
+gain).  Each step
 
 1. takes ``floor = max(exact)``, the best exact gain;
 2. re-scores, in one blockwise batch, every stale row with
@@ -21,10 +22,11 @@ bound may exceed the exact gain).  Each step
 3. picks the lowest index with ``bound ≥ max(bound) − _TOL``, searching
    only the rows of step 2's band;
 
-and after the residual update marks stale only the rows that share a
-column the winner actually reduced, found through a CSC column→rows
-index built once per state.  A step therefore costs three ``O(M)``
-vector passes plus one scoring batch, with no per-row Python work.
+then updates the residual at the winner's few stored entries and marks
+stale the rows sharing a column the winner actually reduced, scattering
+``-inf`` from a CSC column→rows index built once per state.  A step thus
+costs a maximum and a band scan over the ``M`` slots plus one scoring
+batch; nothing else it does is wider than the winner's support.
 (``exact`` stands in for a boolean ``stale`` mask because a plain
 ``max`` is ~30x cheaper than NumPy's masked ``max(where=...)``.)
 
@@ -58,12 +60,15 @@ algorithmic equivalence:
   gain is lower still, so it can neither be the maximum nor enter the
   dense rule's tie band "within ``_TOL`` of the step maximum".  The band
   is therefore exactly scored, and its lowest index — the dense
-  ``argmax(scores >= best − _TOL)`` — is the winner.  A picked row holds
-  ``-inf`` in both arrays, so it never counts as stale, and a ``-inf``
-  floor (every live row stale) re-scores only unpicked masked rows.
-* **Same residual updates.**  The residual is updated only on the
-  winner's support and snapped with the same
-  ``residual[residual <= _TOL] = 0.0``.
+  ``argmax(scores >= best − _TOL)`` — is the winner.  A picked or
+  masked-out row holds ``-inf`` in both arrays, so it never counts as
+  stale, and a ``-inf`` floor (every live row stale) re-scores only
+  unpicked masked rows.
+* **Same residual updates.**  Each of the winner's entries subtracts
+  ``min(q_ij, r_j)`` and snaps to 0 at ``_TOL`` in Python floats, whose
+  IEEE ``-`` and ``min`` give NumPy's bits; every other entry is 0 or
+  above ``_TOL`` already, as the dense full-width snap would leave it.
+  A count of unmet demands stands in for the dense ``residual.any()``.
 
 Scoring is blockwise — at most ``_SCORE_BLOCK`` rows densified at a time
 — because one step can re-score thousands of rows (12,696 in one step at
@@ -148,12 +153,11 @@ class LazyGreedyState:
             return
         block = np.zeros((min(_SCORE_BLOCK, n), k))
         self._scores0 = self._score_rows(np.arange(n), residual, block)
-        # CSC index: the rows with a nonzero in column j are
-        # _col_rows[_col_ptr[j]:_col_ptr[j + 1]].
+        # CSC index: _col_rows[j] holds the rows with a nonzero in column j.
         row_of = np.repeat(np.arange(n), np.diff(sparse.indptr))
-        self._col_rows = row_of[np.argsort(sparse.indices, kind="stable")]
-        self._col_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(sparse.indices, minlength=k))]
+        self._col_rows = np.split(
+            row_of[np.argsort(sparse.indices, kind="stable")],
+            np.cumsum(np.bincount(sparse.indices, minlength=k))[:-1],
         )
 
     def _score_rows(
@@ -197,20 +201,15 @@ class LazyGreedyState:
             return GreedyResult(selection=np.array([], dtype=int), order=())
 
         residual = self._residual0.copy()
-        if budget_mask is None:
-            live = np.arange(n_items)
-        else:
-            live = np.flatnonzero(_as_item_mask(budget_mask, n_items))
-        # The per-row arrays cover only the masked items, in index order,
-        # so the lowest slot is the lowest item index; slot[i] is item i's
-        # position in them (-1 outside the mask).
-        slot = np.full(n_items, -1)
-        slot[live] = np.arange(live.size)
-        bound = self._scores0[live]
+        unmet = int(np.count_nonzero(residual))
+        # One slot per item; items outside the mask hold -inf in both
+        # arrays, so they are never stale and never picked.
+        mask = True if budget_mask is None else _as_item_mask(budget_mask, n_items)
+        bound = np.where(mask, self._scores0, -np.inf)
         exact = bound.copy()
-        block = np.zeros((min(_SCORE_BLOCK, live.size), sparse.n_constraints))
+        block = np.zeros((min(_SCORE_BLOCK, n_items), sparse.n_constraints))
         indptr, indices, data = sparse.indptr, sparse.indices, sparse.data
-        col_ptr, col_rows = self._col_ptr, self._col_rows
+        col_rows = self._col_rows
 
         order: list[int] = []
         evaluations = batches = 0
@@ -224,38 +223,38 @@ class LazyGreedyState:
             # Rows whose bound reaches the best exact gain's band; every
             # other row scores below any tie band this step can have.
             floor = exact.max(initial=-np.inf)
-            top = np.flatnonzero(bound >= floor - _TOL)
-            rescore = top[exact[top] < bound[top]]
+            top = (bound >= floor - _TOL).nonzero()[0]
+            scores = bound[top]
+            rescore = top[exact[top] < scores]
             if rescore.size:
-                bound[rescore] = exact[rescore] = self._score_rows(live[rescore], residual, block)
+                bound[rescore] = exact[rescore] = self._score_rows(rescore, residual, block)
+                scores = bound[top]
                 evaluations += rescore.size
                 batches += -(-rescore.size // _SCORE_BLOCK)
-            best_score = bound[top].max(initial=-np.inf)
+            best_score = scores.max(initial=-np.inf)
             if best_score <= _TOL:
                 count_work()
                 raise InfeasibleError(
                     "greedy cover exhausted all useful items with "
-                    f"{int(np.count_nonzero(residual > 0.0))} demands still unmet"
+                    f"{unmet} demands still unmet"
                 )
-            pick = int(top[np.argmax(bound[top] >= best_score - _TOL)])
-            best = int(live[pick])
+            best = int(top[(scores >= best_score - _TOL).argmax()])
             order.append(best)
-            bound[pick] = exact[pick] = -np.inf
+            bound[best] = exact[best] = -np.inf
 
             lo, hi = int(indptr[best]), int(indptr[best + 1])
-            cols = indices[lo:hi]
-            contrib = np.minimum(data[lo:hi], residual[cols])
-            residual[cols] -= contrib
-            residual[residual <= _TOL] = 0.0
-            if not np.any(residual > 0.0):
+            for j, q in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+                r = residual.item(j)
+                reduced = min(q, r)
+                if reduced > 0.0:
+                    r -= reduced
+                    if r <= _TOL:
+                        r = 0.0
+                        unmet -= 1
+                    residual[j] = r
+                    exact[col_rows[j]] = -np.inf
+            if not unmet:
                 break
-            # The winner scored above _TOL, so it reduced at least one column.
-            touched = slot[
-                np.concatenate(
-                    [col_rows[col_ptr[j] : col_ptr[j + 1]] for j in cols[contrib > 0.0]]
-                )
-            ]
-            exact[touched[touched >= 0]] = -np.inf
 
         count_work()
         return GreedyResult(

@@ -136,6 +136,25 @@ class TestExitContract:
         assert main([*args, "--seed", "4", "--resume", ckpt]) == 2
         assert capsys.readouterr().err.count("error:") == 1
 
+    @pytest.mark.parametrize("fault_plan", [None, "transient@99:1"])
+    def test_resume_hint_names_fault_plan_only_when_given(
+        self, capsys, monkeypatch, tmp_path, fault_plan
+    ):
+        from repro import cli
+        from repro.resilience.faults import SimulatedCrashError
+
+        def crash(name, **kwargs):
+            raise SimulatedCrashError(f"injected crash in {name}")
+
+        monkeypatch.setattr(cli, "run_experiment", crash)
+        flags = [] if fault_plan is None else ["--fault-plan", fault_plan]
+        assert main(["table1", "--resume", str(tmp_path), *flags]) == 3
+        err = capsys.readouterr().err
+        hints = [line for line in err.splitlines() if line.startswith("hint:")]
+        assert len(hints) == 1
+        assert f"checkpointed under {tmp_path}" in hints[0]
+        assert ("--fault-plan" in hints[0]) == (fault_plan is not None)
+
     @pytest.mark.parametrize("command", ["resume", "status", "report"])
     def test_corrupted_campaign_checkpoint_exits_2(self, capsys, tmp_path, command):
         import json

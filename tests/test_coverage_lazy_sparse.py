@@ -12,7 +12,9 @@ coverage, a single item, everything affordable).  ``TestFreshnessRule``
 targets the rule that keeps a row's cached gain exact unless the last
 winner reduced one of its columns: duplicate rows, all-zero rows,
 winners that reduce only some of their columns, steps where every live
-row is stale, and multi-block scoring batches.
+row is stale, and multi-block scoring batches.  ``TestResidualUpdate``
+pins the per-pick residual update at the ``_TOL`` snap boundary, and
+``TestSameWork`` pins the work one auction's price sweep does.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.bench import seeded_auction_batch
 from repro.coverage import lazy
 from repro.coverage.dispatch import (
     AUTO_SPARSE_MAX_DENSITY,
@@ -33,6 +36,7 @@ from repro.coverage.greedy import GreedyState, greedy_cover
 from repro.coverage.lazy import LazyGreedyState, lazy_sparse_greedy_cover
 from repro.coverage.problem import CoverProblem
 from repro.coverage.sparse import SparseCoverage
+from repro.engine import build_plan
 from repro.exceptions import InfeasibleError, ValidationError
 from repro.obs import MetricsRecorder, use_recorder
 
@@ -383,6 +387,90 @@ class TestFreshnessRule:
         # The block size changes how rows are batched, never which rows.
         assert split["lazy_greedy.evaluations"] == whole["lazy_greedy.evaluations"]
         assert split["lazy_greedy.batches"] > whole["lazy_greedy.batches"]
+
+
+TOL = lazy._TOL
+
+
+class TestResidualUpdate:
+    """Each pick updates the residual at its own entries, then snaps at ``_TOL``."""
+
+    def test_gain_equal_to_the_residual_meets_the_column(self):
+        # Both picks subtract exactly the residual they meet: r - q == 0.0.
+        gains = np.array([[0.5, 0.25], [0.0, 0.5]])
+        problem = CoverProblem(gains=gains, demands=np.array([0.5, 0.75]))
+        assert assert_same_result(problem).order == (0, 1)
+
+    @pytest.mark.parametrize("q, demand", [(1.0, 1.0 + 0.5 * TOL), (TOL, 2 * TOL)])
+    def test_remainder_within_tol_snaps_to_zero(self, q, demand):
+        # Row 0 leaves at most _TOL of column 0 (exactly _TOL in the second
+        # case), which snaps to 0.  Kept, it would leave row 1 a gain below
+        # _TOL and the cover infeasible.
+        assert 0.0 < demand - q <= TOL
+        gains = np.array([[q, 1.0], [0.5, 0.0]])
+        problem = CoverProblem(gains=gains, demands=np.array([demand, 1.0]))
+        assert assert_same_result(problem).order == (0,)
+
+    def test_remainder_just_above_tol_is_kept(self):
+        q, demand = 1.0, 1.0 + 1.01 * TOL
+        assert TOL < demand - q < 1.1 * TOL
+        gains = np.array([[q, 1.0], [0.5, 0.0]])
+        problem = CoverProblem(gains=gains, demands=np.array([demand, 1.0]))
+        assert assert_same_result(problem).order == (0, 1)
+
+    def test_winner_entry_in_a_met_column_marks_no_row_stale(self):
+        # Row 0 meets columns 0 and 3, so rows 1 and 2 turn stale and step
+        # 2 re-scores both.  Row 1 wins with a stored entry in the met
+        # column 0, which it does not reduce: row 2 shares only that
+        # column with it, stays exact and wins step 3 without a re-score.
+        gains = np.array(
+            [[1.0, 0.0, 0.0, 1.0], [0.5, 0.8, 0.0, 0.0], [0.3, 0.0, 0.4, 0.0]]
+        )
+        problem = CoverProblem(gains=gains, demands=np.array([1.0, 0.8, 0.4, 1.0]))
+        counters = lazy_counters(problem)
+        assert lazy_sparse_greedy_cover(problem).order == (0, 1, 2)
+        assert counters == {"calls": 1, "iterations": 3, "evaluations": 2, "batches": 1}
+
+    def test_infeasible_mask_counts_the_demands_left_unmet(self):
+        # Rows 0 and 1 meet two of the four demands; the mask leaves none
+        # for the other two.
+        problem = CoverProblem(gains=np.eye(4), demands=np.ones(4))
+        mask = np.array([True, True, False, False])
+        assert_same_result(problem, budget_mask=mask)
+        with pytest.raises(InfeasibleError, match="with 2 demands still unmet"):
+            lazy_sparse_greedy_cover(problem, budget_mask=mask)
+
+
+class TestSameWork:
+    def test_auction_price_sweep_work_is_pinned(self):
+        """One auction's price sweep through the lazy kernel does pinned work.
+
+        At 2,000 workers × 100 tasks (density 0.040) auto dispatch takes the
+        CELF kernel.  The counters pin which rows each step scores and how
+        they batch; a change to how a step is computed must leave them,
+        and every group's selection, as they are.
+        """
+        (instance,) = seeded_auction_batch(1, n_workers=2000, n_tasks=100, seed=2016)
+        assert instance.sparse_quality.density == pytest.approx(0.040, abs=5e-4)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            plan = build_plan(instance, auto_cover_solver)
+        work = {
+            name: value
+            for name, value in recorder.counters.items()
+            if name.startswith("lazy_greedy.")
+        }
+        assert plan.n_groups == 12
+        assert work == {
+            "lazy_greedy.calls": 12,
+            "lazy_greedy.iterations": 1679,
+            "lazy_greedy.evaluations": 43725,
+            "lazy_greedy.batches": 882,
+        }
+        problem = instance.sparse_quality.to_problem()
+        for group, selection in zip(plan.groups, plan.group_selections):
+            cold = GreedyState(problem).solve(group.candidates)
+            assert np.array_equal(selection, cold.selection)
 
 
 class TestSparseCoverage:

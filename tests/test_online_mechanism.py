@@ -384,7 +384,8 @@ class TestOnlineCLI:
             capsys, *args, "--resume", ckpt, "--fault-plan", "crash@1"
         )
         assert code == 3
-        assert "re-run the same command to resume" in err
+        # Kept, --fault-plan crash@1 would fire again: the hint drops it.
+        assert "re-run the same command to resume, without --fault-plan" in err
         code, resumed, _ = self._run(capsys, *args, "--resume", ckpt)
         assert code == 0
         assert resumed == uninterrupted
